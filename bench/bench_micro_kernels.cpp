@@ -17,8 +17,10 @@
 //    medians comparable across runs.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,8 +44,8 @@ using namespace rltherm;
 
 void BM_ThermalStep(benchmark::State& state) {
   thermal::QuadCorePackage pkg = thermal::buildQuadCorePackage({});
-  pkg.network.prepare(0.01);
-  const std::vector<Watts> power = pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
+  pkg.prepare(0.01);
+  const std::vector<Watts> power = {8.0, 2.0, 5.0, 1.0};
   for (auto _ : state) {
     pkg.network.step(power);
     benchmark::DoNotOptimize(pkg.network.temperatures().data());
@@ -191,33 +193,14 @@ void BM_GridThermalStep(benchmark::State& state) {
   thermal::GridThermalConfig config;
   config.cellsPerCoreSide = static_cast<std::size_t>(state.range(0));
   thermal::GridPackage pkg(config);
-  pkg.network().prepare(0.01);
-  const std::vector<Watts> power =
-      pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
+  pkg.prepare(0.01);
+  const std::vector<Watts> power = {8.0, 2.0, 5.0, 1.0};
   for (auto _ : state) {
     pkg.network().step(power);
     benchmark::DoNotOptimize(pkg.network().temperatures().data());
   }
 }
 BENCHMARK(BM_GridThermalStep)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
-
-void BM_GridThermalStepDense(benchmark::State& state) {
-  // Same 66-node grid as BM_GridThermalStep/4, structured path forced OFF —
-  // the interactive twin of the rc_step_grid64_dense/fast JSON pair.
-  thermal::GridThermalConfig config;
-  config.cellsPerCoreSide = 4;
-  config.step.path = thermal::StepOptions::Path::Dense;
-  config.step.useCache = false;
-  thermal::GridPackage pkg(config);
-  pkg.prepare(0.01);
-  const std::vector<Watts> power =
-      pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
-  for (auto _ : state) {
-    pkg.network().step(power);
-    benchmark::DoNotOptimize(pkg.network().temperatures().data());
-  }
-}
-BENCHMARK(BM_GridThermalStepDense);
 
 void BM_RcPrepareGrid64(benchmark::State& state) {
   // prepare() throughput on the 66-node grid: range(0)==0 benches the cold
@@ -230,7 +213,7 @@ void BM_RcPrepareGrid64(benchmark::State& state) {
   for (auto _ : state) {
     if (!warm) thermal::ExpOperatorCache::instance().clear();
     pkg.prepare(0.01);
-    benchmark::DoNotOptimize(pkg.network().structuredOperator());
+    benchmark::DoNotOptimize(pkg.network().preparedOperator());
   }
   thermal::ExpOperatorCache::instance().clear();
 }
@@ -264,25 +247,61 @@ struct JsonKernel {
   std::function<double()> run;
 };
 
-/// The 64-cell die (8x8 cells + spreader + sink = 66 nodes) both grid64
-/// step kernels share — big enough that Auto selects the structured path.
-thermal::GridThermalConfig grid64Config(thermal::StepOptions::Path path) {
+/// The 64-cell die (8x8 cells + spreader + sink = 66 nodes) every grid64
+/// kernel shares.
+thermal::GridThermalConfig grid64Config() {
   thermal::GridThermalConfig config;
   config.cellsPerCoreSide = 4;
-  config.step.path = path;
   return config;
 }
+
+/// Per-core power that changes on every tick the way the closed loop's
+/// does: a fixed dynamic level plus leakage that follows each core's mean
+/// cell temperature.
+void leakyCorePower(const thermal::GridPackage& pkg, std::vector<Watts>& power) {
+  constexpr Watts kDynamic[] = {8.0, 2.0, 5.0, 1.0};
+  for (std::size_t core = 0; core < power.size(); ++core) {
+    power[core] =
+        kDynamic[core] + 0.5 * std::exp(0.02 * (pkg.coreMeanTemperature(core) - 25.0));
+  }
+}
+
+/// The dense two-matvec exact step T' = E T + Phi u of a grid package at
+/// h = 0.01 s, u = P + G_amb T_amb: the reference the packed kernel is
+/// measured against.
+struct DenseStep {
+  explicit DenseStep(const thermal::GridThermalConfig& config) {
+    const thermal::GridPackage pkg(config);
+    const thermal::RcNetwork& net = pkg.network();
+    const std::size_t n = net.nodeCount();
+    Matrix a(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        a(i, j) = -net.conductance()(i, j) / net.node(i).capacitance;
+      }
+    }
+    e = expm(a * 0.01);
+    phi = LuFactorization(a).solve(e - Matrix::identity(n));
+    ambientInput.assign(n, 0.0);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t i = 0; i < n; ++i) phi(i, j) /= net.node(j).capacitance;
+      if (const auto r = net.node(j).resistanceToAmbient) ambientInput[j] = net.ambient() / *r;
+    }
+  }
+  Matrix e;
+  Matrix phi;
+  std::vector<double> ambientInput;
+};
 
 std::vector<JsonKernel> jsonKernels() {
   std::vector<JsonKernel> kernels;
 
-  // The quad-core RC step: the per-10ms-tick cost the ROADMAP's structured-
-  // RC-step item targets. 20k steps x 0.01 s = 200 simulated seconds.
+  // The quad-core RC step on the plant's per-core input path: the
+  // per-10ms-tick cost. 20k steps x 0.01 s = 200 simulated seconds.
   kernels.push_back({"rc_step_quadcore", 20000, [] {
     thermal::QuadCorePackage pkg = thermal::buildQuadCorePackage({});
-    pkg.network.prepare(0.01);
-    const std::vector<Watts> power =
-        pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
+    pkg.prepare(0.01);
+    const std::vector<Watts> power = {8.0, 2.0, 5.0, 1.0};
     for (int i = 0; i < 20000; ++i) pkg.network.step(power);
     return 20000 * 0.01;
   }});
@@ -293,36 +312,50 @@ std::vector<JsonKernel> jsonKernels() {
     thermal::GridThermalConfig config;
     config.cellsPerCoreSide = 2;
     thermal::GridPackage pkg(config);
-    pkg.network().prepare(0.01);
-    const std::vector<Watts> power =
-        pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
+    pkg.prepare(0.01);
+    const std::vector<Watts> power = {8.0, 2.0, 5.0, 1.0};
     for (int i = 0; i < 5000; ++i) pkg.network().step(power);
     return 5000 * 0.01;
   }});
 
-  // The 66-node step on the dense reference path vs the structured fused
-  // path: the pair behind the fast-path speedup gate in scripts/check.sh.
-  // Same grid, same power, same 5000 steps; only StepOptions differ.
-  kernels.push_back({"rc_step_grid64_dense", 5000, [] {
-    thermal::GridThermalConfig config = grid64Config(thermal::StepOptions::Path::Dense);
-    config.step.useCache = false;
-    thermal::GridPackage pkg(config);
+  // The 66-node step with leaky per-core power (a new input every tick):
+  // the packed kernel vs the dense two-matvec reference E T + Phi u, built
+  // here from expm + LU and applied with two Matrix::multiplyInto products.
+  // Same grid, same input sequence, same 5000 steps — the same-run pair
+  // behind the step-kernel speedup gate in scripts/check.sh.
+  kernels.push_back({"rc_step_grid64_leaky", 5000, [] {
+    thermal::GridPackage pkg(grid64Config());
     pkg.prepare(0.01);
-    const std::vector<Watts> power =
-        pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
-    for (int i = 0; i < 5000; ++i) pkg.network().step(power);
+    std::vector<Watts> power(pkg.coreCount());
+    for (int i = 0; i < 5000; ++i) {
+      leakyCorePower(pkg, power);
+      pkg.network().step(power);
+    }
     return 5000 * 0.01;
   }});
 
-  kernels.push_back({"rc_step_grid64_fast", 5000, [] {
-    thermal::GridThermalConfig config =
-        grid64Config(thermal::StepOptions::Path::Structured);
-    config.step.useCache = false;
-    thermal::GridPackage pkg(config);
-    pkg.prepare(0.01);
-    const std::vector<Watts> power =
-        pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
-    for (int i = 0; i < 5000; ++i) pkg.network().step(power);
+  kernels.push_back({"rc_step_grid64_reference", 5000,
+                     [reference = std::make_shared<const DenseStep>(grid64Config())] {
+    thermal::GridPackage pkg(grid64Config());
+    const std::size_t n = pkg.network().nodeCount();
+    std::vector<double> temps(pkg.network().temperatures().begin(),
+                              pkg.network().temperatures().end());
+    std::vector<double> input = reference->ambientInput;  // cells: 0 W to ambient
+    std::vector<double> homogeneous(n);
+    std::vector<double> forced(n);
+    std::vector<Watts> power(pkg.coreCount());
+    for (int step = 0; step < 5000; ++step) {
+      leakyCorePower(pkg, power);
+      for (std::size_t core = 0; core < power.size(); ++core) {
+        const std::vector<std::size_t>& cells = pkg.coreCells(core);
+        const double perCell = power[core] / static_cast<double>(cells.size());
+        for (const std::size_t cell : cells) input[cell] = perCell;
+      }
+      reference->e.multiplyInto(temps, homogeneous);
+      reference->phi.multiplyInto(input, forced);
+      for (std::size_t i = 0; i < n; ++i) temps[i] = homogeneous[i] + forced[i];
+      pkg.network().setTemperatures(temps);
+    }
     return 5000 * 0.01;
   }});
 
@@ -331,7 +364,7 @@ std::vector<JsonKernel> jsonKernels() {
   // fingerprint lookup path an identical machine pays when the cache holds
   // the entry. The gap between the two is the cache's amortization win.
   kernels.push_back({"rc_prepare_grid64_cold", 10, [] {
-    thermal::GridPackage pkg(grid64Config(thermal::StepOptions::Path::Auto));
+    thermal::GridPackage pkg(grid64Config());
     for (int i = 0; i < 10; ++i) {
       thermal::ExpOperatorCache::instance().clear();
       pkg.prepare(0.01);
@@ -342,7 +375,7 @@ std::vector<JsonKernel> jsonKernels() {
 
   kernels.push_back({"rc_prepare_grid64_warm", 200, [] {
     thermal::ExpOperatorCache::instance().clear();
-    thermal::GridPackage pkg(grid64Config(thermal::StepOptions::Path::Auto));
+    thermal::GridPackage pkg(grid64Config());
     pkg.prepare(0.01);  // cold: populates the entry the loop below hits
     for (int i = 0; i < 200; ++i) pkg.prepare(0.01);
     return 0.0;

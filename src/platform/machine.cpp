@@ -24,18 +24,12 @@ namespace {
 
 class LumpedPlant final : public ThermalPlant {
  public:
-  LumpedPlant(const thermal::QuadCoreThermalConfig& config,
-              const thermal::StepOptions& stepOptions)
-      : package_(thermal::buildQuadCorePackage(config)), stepOptions_(stepOptions) {}
+  explicit LumpedPlant(const thermal::QuadCoreThermalConfig& config)
+      : package_(thermal::buildQuadCorePackage(config)) {}
 
-  void prepare(Seconds stepSize) override {
-    package_.network.prepare(stepSize, stepOptions_);
-  }
+  void prepare(Seconds stepSize) override { package_.prepare(stepSize); }
   void step(std::span<const Watts> corePower) override {
-    // One buffer for the whole run: the per-tick hot path performs no
-    // allocations (power fill + RC step are fused back to back).
-    package_.nodePowerInto(corePower, nodePowerBuffer_);
-    package_.network.step(nodePowerBuffer_);
+    package_.network.step(corePower);
   }
   void settleTo(std::span<const Watts> corePower) override {
     package_.network.setTemperatures(
@@ -50,14 +44,11 @@ class LumpedPlant final : public ThermalPlant {
 
  private:
   thermal::QuadCorePackage package_;
-  thermal::StepOptions stepOptions_;
-  std::vector<Watts> nodePowerBuffer_;
 };
 
 class GridPlant final : public ThermalPlant {
  public:
-  GridPlant(const thermal::QuadCoreThermalConfig& config, std::size_t cellsPerSide,
-            const thermal::StepOptions& stepOptions)
+  GridPlant(const thermal::QuadCoreThermalConfig& config, std::size_t cellsPerSide)
       : package_([&] {
           thermal::GridThermalConfig grid;
           // Map the lumped quad-core parameters onto the grid model. The
@@ -74,7 +65,6 @@ class GridPlant final : public ThermalPlant {
           grid.sinkCapacitance = config.sinkCapacitance;
           grid.spreaderToSink = config.spreaderToSink;
           grid.sinkToAmbient = config.sinkToAmbient;
-          grid.step = stepOptions;
           return thermal::GridPackage(grid);
         }()),
         coreCount_(config.coreCount) {
@@ -84,8 +74,7 @@ class GridPlant final : public ThermalPlant {
 
   void prepare(Seconds stepSize) override { package_.prepare(stepSize); }
   void step(std::span<const Watts> corePower) override {
-    package_.nodePowerInto(corePower, nodePowerBuffer_);
-    package_.network().step(nodePowerBuffer_);
+    package_.network().step(corePower);
   }
   void settleTo(std::span<const Watts> corePower) override {
     package_.network().setTemperatures(
@@ -101,17 +90,15 @@ class GridPlant final : public ThermalPlant {
  private:
   thermal::GridPackage package_;
   std::size_t coreCount_;
-  std::vector<Watts> nodePowerBuffer_;
 };
 
 std::unique_ptr<ThermalPlant> makePlant(const MachineConfig& config) {
   thermal::QuadCoreThermalConfig t = config.thermal;
   t.coreCount = config.coreCount;
   if (config.thermalCellsPerCoreSide <= 1) {
-    return std::make_unique<LumpedPlant>(t, config.thermalStep);
+    return std::make_unique<LumpedPlant>(t);
   }
-  return std::make_unique<GridPlant>(t, config.thermalCellsPerCoreSide,
-                                     config.thermalStep);
+  return std::make_unique<GridPlant>(t, config.thermalCellsPerCoreSide);
 }
 
 }  // namespace

@@ -68,13 +68,10 @@ struct MachineConfig {
   /// Thermal plant resolution: 1 = lumped (one RC node per core, the
   /// default), N > 1 = HotSpot-style NxN cell grid per core. At grid
   /// resolution the on-board sensor reads each core's HOTTEST cell, as real
-  /// per-core DTS sensors report the worst local site.
+  /// per-core DTS sensors report the worst local site. Either plant folds
+  /// its core-to-node power map into the prepared RC operator, so each tick
+  /// is one exact step driven by the per-core powers (thermal/rc_network.hpp).
   std::size_t thermalCellsPerCoreSide = 1;
-  /// RC step-path selection (dense reference vs structured fast path, exp-
-  /// operator cache) forwarded to the plant's prepare(). The Auto default
-  /// keeps small lumped plants on the dense path and moves fine grids onto
-  /// the structured kernel.
-  thermal::StepOptions thermalStep;
   thermal::SensorConfig sensor;
   power::DynamicPowerConfig dynamicPower;
   power::LeakagePowerConfig leakage;

@@ -15,7 +15,7 @@ namespace rltherm::thermal {
 
 namespace {
 
-/// Enough distinct (package, step-size, options) tuples for any realistic
+/// Enough distinct (package, step size, input map) tuples for any realistic
 /// sweep; beyond this the oldest operator is evicted (FIFO — preparation
 /// patterns are bursts at sweep start, not LRU-shaped).
 constexpr std::size_t kMaxEntries = 64;

@@ -4,10 +4,10 @@
 // O(n²); a sweep that builds hundreds of identical machines, or a tenant
 // re-preparing the same package at the same tick, pays the O(n³) once when
 // the cache is warm. Entries are keyed by an FNV-1a fingerprint over every
-// input that determines the operators (step size, conductance matrix,
-// inverse capacitances, resolved path selection — see
-// RcNetwork::prepare), following the canonical-encoding convention of the
-// checkpoint store's fingerprint (src/store/policy_checkpoint.cpp).
+// input that determines the packed operator (step size, conductance matrix,
+// inverse capacitances, ambient conductances and temperature, input map —
+// see RcNetwork::prepare), following the canonical-encoding convention of
+// the checkpoint store's fingerprint (src/store/policy_checkpoint.cpp).
 //
 // Determinism: a cached PreparedStep is immutable and byte-identical to
 // what a cold prepare() would compute (same inputs, same deterministic
@@ -19,33 +19,37 @@
 // (publishExpOpCacheMetrics), never into a run's private session, so
 // per-run metric streams stay scheduling-independent.
 //
-// The cache can be disabled per prepare() call (StepOptions::useCache),
-// programmatically (setEnabled), or for a whole process with the
-// environment variable RLTHERM_EXPOP_CACHE=0 — the fail-open probe in
-// scripts/check.sh uses the latter to prove the fast path's speedup does
-// not depend on stale cached operators.
+// The cache can be disabled programmatically (setEnabled) or for a whole
+// process with the environment variable RLTHERM_EXPOP_CACHE=0 — the
+// fail-open probe in scripts/check.sh uses the latter to prove the step
+// kernel's speedup does not depend on stale cached operators.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
-#include "common/matrix.hpp"
 #include "common/types.hpp"
-#include "thermal/step_operator.hpp"
 
 namespace rltherm::thermal {
 
-/// Everything prepare() derives from (stepSize, network, options):
+/// Rows per tile of the packed operator: four 2-wide SIMD accumulators.
+inline constexpr std::size_t kTileRows = 8;
+
+/// Everything prepare() derives from (stepSize, network, input map):
 /// immutable once built, shared by every network with the same fingerprint.
 struct PreparedStep {
   Seconds stepSize = 0.0;
   std::uint64_t fingerprint = 0;
-  Matrix expOp;  ///< E = e^{Ah}
-  Matrix phiOp;  ///< Φ = A⁻¹(E−I)C⁻¹
-  /// The fused run-compressed operator; empty when the dense path was
-  /// selected.
-  StepOperator structured;
-  bool structuredSelected = false;
+  std::size_t nodes = 0;   ///< n
+  std::size_t inputs = 0;  ///< m
+  /// [E | F] in ceil(n / kTileRows) row tiles. Tile t holds rows
+  /// [t*kTileRows, (t+1)*kTileRows) of its n + m columns, column by column
+  /// (kTileRows contiguous values per column); rows past n are zero.
+  std::vector<double> tiles;
+  /// d = Phi C^{-1} G_amb T_amb, zero-padded to whole tiles.
+  std::vector<double> offset;
 };
 
 struct ExpOpCacheStats {

@@ -55,24 +55,12 @@ GridPackage::GridPackage(const GridThermalConfig& config) : config_(config) {
       .resistanceToAmbient = config.sinkToAmbient,
   });
 
-  expects(config.lateralCouplingRange >= 1,
-          "GridPackage: lateralCouplingRange must be >= 1");
-  expects(config.lateralDecayExponent >= 0.0,
-          "GridPackage: lateralDecayExponent must be >= 0");
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       const std::size_t node = cellNodes_[r * cols + c];
       builder.connect(node, spreaderNode_, cellVerticalR);
-      // Axis-aligned lateral couplings with distance decay: d == 1 is the
-      // nearest-neighbour hop (R(1) == cellLateralR, the classic grid);
-      // larger d adds progressively weaker far-field paths.
-      for (std::size_t d = 1; d <= config.lateralCouplingRange; ++d) {
-        const double lateralR =
-            cellLateralR *
-            std::pow(static_cast<double>(d), config.lateralDecayExponent);
-        if (c + d < cols) builder.connect(node, cellNodes_[r * cols + c + d], lateralR);
-        if (r + d < rows) builder.connect(node, cellNodes_[(r + d) * cols + c], lateralR);
-      }
+      if (c + 1 < cols) builder.connect(node, cellNodes_[r * cols + c + 1], cellLateralR);
+      if (r + 1 < rows) builder.connect(node, cellNodes_[(r + 1) * cols + c], cellLateralR);
     }
   }
   builder.connect(spreaderNode_, sinkNode_, config.spreaderToSink);
@@ -93,6 +81,12 @@ GridPackage::GridPackage(const GridThermalConfig& config) : config_(config) {
   }
 
   network_ = builder.build();
+  inputMap_ = Matrix(network_.nodeCount(), coreCount());
+  for (std::size_t core = 0; core < coreCells_.size(); ++core) {
+    for (const std::size_t node : coreCells_[core]) {
+      inputMap_(node, core) = 1.0 / static_cast<double>(cellsPerCore);
+    }
+  }
 }
 
 std::size_t GridPackage::cellNode(std::size_t row, std::size_t col) const {
@@ -106,21 +100,8 @@ const std::vector<std::size_t>& GridPackage::coreCells(std::size_t core) const {
 }
 
 std::vector<Watts> GridPackage::nodePower(std::span<const Watts> corePower) const {
-  std::vector<Watts> power;
-  nodePowerInto(corePower, power);
-  ensures(power.size() == network_.nodeCount(), "nodePower: one entry per node");
-  return power;
-}
-
-void GridPackage::nodePowerInto(std::span<const Watts> corePower,
-                                std::vector<Watts>& out) const {
   expects(corePower.size() == coreCount(), "nodePower: per-core power size mismatch");
-  out.assign(network_.nodeCount(), 0.0);
-  for (std::size_t core = 0; core < coreCells_.size(); ++core) {
-    const double perCell =
-        corePower[core] / static_cast<double>(coreCells_[core].size());
-    for (const std::size_t node : coreCells_[core]) out[node] = perCell;
-  }
+  return inputMap_ * corePower;
 }
 
 Celsius GridPackage::coreMeanTemperature(std::size_t core) const {

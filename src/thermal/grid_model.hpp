@@ -39,20 +39,6 @@ struct GridThermalConfig {
   double sinkCapacitance = 150.0;     ///< J/K
   double spreaderToSink = 0.25;       ///< K/W
   double sinkToAmbient = 0.38;        ///< K/W
-
-  /// Lateral coupling reach: cells at axis-aligned grid distance d in
-  /// [1, lateralCouplingRange] are connected with a distance-decay
-  /// resistance  R(d) = lateralResistance · d^lateralDecayExponent.
-  /// The default (range 1) is the classic nearest-neighbour grid; larger
-  /// ranges add the rapidly weakening far-field couplings whose near-zero
-  /// exp-operator entries the structured step path (StepOptions) skips.
-  std::size_t lateralCouplingRange = 1;
-  double lateralDecayExponent = 2.0;
-
-  /// Step-path selection forwarded by prepare(); defaults to Auto, which
-  /// picks the structured fast path once the grid outgrows the dense
-  /// reference's threshold.
-  StepOptions step;
 };
 
 class GridPackage {
@@ -75,9 +61,13 @@ class GridPackage {
   [[nodiscard]] RcNetwork& network() noexcept { return network_; }
   [[nodiscard]] const RcNetwork& network() const noexcept { return network_; }
 
-  /// Prepare the network with the config's step options (convenience for
-  /// callers that would otherwise forward config().step by hand).
-  void prepare(Seconds stepSize) { network_.prepare(stepSize, config_.step); }
+  /// Input map for RcNetwork::prepare: column `core` spreads that core's
+  /// power uniformly over its cells (weight 1 / cells per core).
+  [[nodiscard]] const Matrix& inputMap() const noexcept { return inputMap_; }
+
+  /// Prepare the network with the package's input map; step() then takes
+  /// one power per core.
+  void prepare(Seconds stepSize) { network_.prepare(stepSize, inputMap_); }
 
   /// Node index of the cell at (row, col) of the die grid.
   [[nodiscard]] std::size_t cellNode(std::size_t row, std::size_t col) const;
@@ -85,13 +75,8 @@ class GridPackage {
   /// Indices of the cells belonging to a core.
   [[nodiscard]] const std::vector<std::size_t>& coreCells(std::size_t core) const;
 
-  /// Build the per-node power vector from per-core powers (each core's power
-  /// spread uniformly over its cells).
+  /// Per-node power vector from per-core powers: inputMap() * corePower.
   [[nodiscard]] std::vector<Watts> nodePower(std::span<const Watts> corePower) const;
-
-  /// Allocation-free variant: resizes `out` once, then refills it in place
-  /// (the per-tick plant path reuses one buffer for the whole run).
-  void nodePowerInto(std::span<const Watts> corePower, std::vector<Watts>& out) const;
 
   /// Mean and peak cell temperature of a core.
   [[nodiscard]] Celsius coreMeanTemperature(std::size_t core) const;
@@ -105,6 +90,7 @@ class GridPackage {
   RcNetwork network_;
   std::vector<std::size_t> cellNodes_;             // row-major grid
   std::vector<std::vector<std::size_t>> coreCells_;
+  Matrix inputMap_;
   std::size_t spreaderNode_ = 0;
   std::size_t sinkNode_ = 0;
 };

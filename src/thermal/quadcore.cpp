@@ -14,18 +14,16 @@ std::vector<Celsius> QuadCorePackage::coreTemperatures() const {
   return out;
 }
 
-std::vector<Watts> QuadCorePackage::nodePower(std::span<const Watts> corePower) const {
-  std::vector<Watts> power;
-  nodePowerInto(corePower, power);
-  ensures(power.size() == network.nodeCount(), "nodePower: one entry per node");
-  return power;
+Matrix QuadCorePackage::inputMap() const {
+  RLTHERM_EXPECT(!coreNodes.empty(), "inputMap: package has no cores");
+  Matrix map(network.nodeCount(), coreNodes.size());
+  for (std::size_t core = 0; core < coreNodes.size(); ++core) map(coreNodes[core], core) = 1.0;
+  return map;
 }
 
-void QuadCorePackage::nodePowerInto(std::span<const Watts> corePower,
-                                    std::vector<Watts>& out) const {
+std::vector<Watts> QuadCorePackage::nodePower(std::span<const Watts> corePower) const {
   expects(corePower.size() == coreNodes.size(), "nodePower: per-core power size mismatch");
-  out.assign(network.nodeCount(), 0.0);
-  for (std::size_t i = 0; i < coreNodes.size(); ++i) out[coreNodes[i]] = corePower[i];
+  return inputMap() * corePower;
 }
 
 QuadCorePackage buildQuadCorePackage(const QuadCoreThermalConfig& config) {

@@ -46,13 +46,17 @@ struct QuadCorePackage {
   /// Current core junction temperatures, ordered by core id.
   [[nodiscard]] std::vector<Celsius> coreTemperatures() const;
 
-  /// Build the full-length per-node power vector from per-core powers
-  /// (spreader/sink nodes get zero power).
-  [[nodiscard]] std::vector<Watts> nodePower(std::span<const Watts> corePower) const;
+  /// Input map for RcNetwork::prepare: one unit column per core, at the
+  /// core's junction node.
+  [[nodiscard]] Matrix inputMap() const;
 
-  /// Allocation-free variant: resizes `out` once, then refills it in place
-  /// (the per-tick plant path reuses one buffer for the whole run).
-  void nodePowerInto(std::span<const Watts> corePower, std::vector<Watts>& out) const;
+  /// Prepare the network with the package's input map; step() then takes
+  /// one power per core.
+  void prepare(Seconds stepSize) { network.prepare(stepSize, inputMap()); }
+
+  /// Full-length per-node power vector from per-core powers (spreader/sink
+  /// nodes get zero power): inputMap() * corePower.
+  [[nodiscard]] std::vector<Watts> nodePower(std::span<const Watts> corePower) const;
 };
 
 /// Builds the package network. coreCount must be >= 1; cores are laid out in

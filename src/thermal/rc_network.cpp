@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "obs/timeline.hpp"
 #include "thermal/expop_cache.hpp"
-#include "thermal/step_operator.hpp"
 
 namespace rltherm::thermal {
 
@@ -65,6 +64,90 @@ void verifyConductanceMatrix(const Matrix& g) {
       RLTHERM_INVARIANT(g(i, i) >= offDiagSum - 1e-9 * g(i, i),
                         "conductance matrix must be diagonally dominant (PSD)");
     }
+  }
+}
+
+/// Builds the packed operator (see PreparedStep) for step size h.
+std::shared_ptr<PreparedStep> packStep(Seconds h, const Matrix& conductance,
+                                       std::span<const double> invCap,
+                                       std::span<const double> ambientInput,
+                                       const Matrix& inputMap) {
+  const std::size_t n = conductance.rows();
+  const std::size_t m = inputMap.cols();
+  // A = -C^{-1} G.
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) a(i, j) = -invCap[i] * conductance(i, j);
+  }
+  const Matrix e = expm(a * h);
+  // Phi = A^{-1}(E - I), with C^{-1} folded in so it applies to raw watts.
+  Matrix phi = LuFactorization(a).solve(e - Matrix::identity(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) phi(i, j) *= invCap[j];
+  }
+  const Matrix forced = phi * inputMap;
+  const std::vector<double> offset = phi * ambientInput;
+
+  auto step = std::make_shared<PreparedStep>();
+  step->stepSize = h;
+  step->nodes = n;
+  step->inputs = m;
+  const std::size_t tileCount = (n + kTileRows - 1) / kTileRows;
+  const std::size_t tileSize = (n + m) * kTileRows;
+  step->tiles.assign(tileCount * tileSize, 0.0);
+  step->offset.assign(tileCount * kTileRows, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row = step->tiles.data() + (i / kTileRows) * tileSize + i % kTileRows;
+    for (std::size_t j = 0; j < n; ++j) row[j * kTileRows] = e(i, j);
+    for (std::size_t j = 0; j < m; ++j) row[(n + j) * kTileRows] = forced(i, j);
+    step->offset[i] = offset[i];
+  }
+  return step;
+}
+
+// Two doubles: one SSE2 register on the baseline x86-64 ISA (GCC/Clang
+// vector extension).
+using Lane = double __attribute__((vector_size(16)));
+static_assert(kTileRows == 4 * sizeof(Lane) / sizeof(double),
+              "the kernel keeps one tile in four lanes");
+
+Lane loadLane(const double* p) noexcept {
+  Lane v{};
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void storeLane(double* p, Lane v) noexcept { std::memcpy(p, &v, sizeof(v)); }
+
+/// out = E temps + (F inputs + d), one tile at a time. Each row accumulates
+/// in column order in its own lane, so the result equals the scalar
+/// left-to-right sums bit for bit; the four lanes per part are independent
+/// chains, which hides the FP-add latency. out is padded to whole tiles.
+void applyTiles(const PreparedStep& op, const double* temps, const double* inputs,
+                double* out) noexcept {
+  const double* col = op.tiles.data();
+  for (std::size_t row = 0; row < op.nodes; row += kTileRows) {
+    Lane h0{}, h1{}, h2{}, h3{};
+    for (std::size_t j = 0; j < op.nodes; ++j, col += kTileRows) {
+      const double x = temps[j];
+      h0 += loadLane(col) * x;
+      h1 += loadLane(col + 2) * x;
+      h2 += loadLane(col + 4) * x;
+      h3 += loadLane(col + 6) * x;
+    }
+    Lane f0{}, f1{}, f2{}, f3{};
+    for (std::size_t j = 0; j < op.inputs; ++j, col += kTileRows) {
+      const double x = inputs[j];
+      f0 += loadLane(col) * x;
+      f1 += loadLane(col + 2) * x;
+      f2 += loadLane(col + 4) * x;
+      f3 += loadLane(col + 6) * x;
+    }
+    const double* d = op.offset.data() + row;
+    storeLane(out + row, h0 + (f0 + loadLane(d)));
+    storeLane(out + row + 2, h1 + (f1 + loadLane(d + 2)));
+    storeLane(out + row + 4, h2 + (f2 + loadLane(d + 4)));
+    storeLane(out + row + 6, h3 + (f3 + loadLane(d + 6)));
   }
 }
 
@@ -146,10 +229,6 @@ RcNetwork RcNetwork::Builder::build() const {
     net.conductance_(e.b, e.a) -= g;
   }
   net.temps_.assign(n, ambient_);
-  net.scratch_.resize(n);
-  net.homogeneous_.resize(n);
-  net.forced_.resize(n);
-  net.lastInput_.resize(n);
   verifyConductanceMatrix(net.conductance_);
   return net;
 }
@@ -173,121 +252,67 @@ void RcNetwork::setTemperatures(std::span<const Celsius> temps) {
   std::copy(temps.begin(), temps.end(), temps_.begin());
 }
 
-void RcNetwork::prepare(Seconds stepSize) { prepare(stepSize, StepOptions{}); }
+void RcNetwork::prepare(Seconds stepSize) {
+  prepare(stepSize, Matrix::identity(nodes_.size()));
+}
 
-void RcNetwork::prepare(Seconds stepSize, const StepOptions& options) {
+void RcNetwork::prepare(Seconds stepSize, const Matrix& inputMap) {
   RLTHERM_TIMED_SCOPE("thermal.rc.prepare");
   expects(stepSize > 0.0, "Step size must be > 0");
-  expects(options.dropTolerance >= 0.0 && std::isfinite(options.dropTolerance),
-          "prepare: dropTolerance must be finite and >= 0");
   const std::size_t n = nodes_.size();
   expects(n > 0, "prepare: empty network");
-  // The cached forced product belongs to the operator being replaced.
-  forcedValid_ = false;
-
-  const bool structured =
-      options.path == StepOptions::Path::Structured ||
-      (options.path == StepOptions::Path::Auto && n >= options.structuredThreshold);
-  // The dense path ignores dropTolerance, so two prepares differing only in
-  // tolerance must share a fingerprint — canonicalize it to 0 there.
-  const double dropTolerance = structured ? options.dropTolerance : 0.0;
+  expects(inputMap.rows() == n && inputMap.cols() >= 1,
+          "prepare: input map must be nodeCount() x m with m >= 1");
+  for (const double b : inputMap.data()) {
+    expects(std::isfinite(b) && b >= 0.0, "prepare: input map entries must be finite and >= 0");
+  }
 
   FingerprintHasher hasher;
-  hasher.bytes("rltherm-expop-v1", 16);
+  hasher.bytes("rltherm-expop-v2", 16);
   hasher.u64(n);
+  hasher.u64(inputMap.cols());
   hasher.f64(stepSize);
   for (const double g : conductance_.data()) hasher.f64(g);
   for (const double c : invCap_) hasher.f64(c);
-  hasher.u64(structured ? 1 : 0);
-  hasher.f64(dropTolerance);
+  for (const double g : ambientG_) hasher.f64(g);
+  hasher.f64(ambient_);
+  for (const double b : inputMap.data()) hasher.f64(b);
   fingerprint_ = hasher.value();
 
   ExpOperatorCache& cache = ExpOperatorCache::instance();
-  if (options.useCache && cache.enabled()) {
-    if (std::shared_ptr<const PreparedStep> hit = cache.lookup(fingerprint_)) {
-      RLTHERM_ENSURE(hit->expOp.rows() == n && hit->stepSize == stepSize,
-                     "prepare: fingerprint collision in the operator cache");
-      prepared_ = std::move(hit);
-      preparedStep_ = stepSize;
-      return;
-    }
+  if (std::shared_ptr<const PreparedStep> hit = cache.lookup(fingerprint_)) {
+    RLTHERM_ENSURE(hit->nodes == n && hit->inputs == inputMap.cols() &&
+                       hit->stepSize == stepSize,
+                   "prepare: fingerprint collision in the operator cache");
+    prepared_ = std::move(hit);
+  } else {
+    std::vector<double> ambientInput(n);
+    for (std::size_t i = 0; i < n; ++i) ambientInput[i] = ambientG_[i] * ambient_;
+    std::shared_ptr<PreparedStep> step =
+        packStep(stepSize, conductance_, invCap_, ambientInput, inputMap);
+    step->fingerprint = fingerprint_;
+    prepared_ = cache.store(std::move(step));
   }
-
-  auto step = std::make_shared<PreparedStep>();
-  step->stepSize = stepSize;
-  step->fingerprint = fingerprint_;
-
-  // A = -C^{-1} G.
-  Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = -invCap_[i] * conductance_(i, j);
-  }
-  step->expOp = expm(a * stepSize);
-
-  // Phi = A^{-1}(E - I), then fold in C^{-1} so step() applies Phi directly
-  // to the raw input u = P + G_amb * T_amb.
-  Matrix eMinusI = step->expOp - Matrix::identity(n);
-  Matrix phi = LuFactorization(a).solve(eMinusI);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) phi(i, j) *= invCap_[j];
-  }
-  step->phiOp = std::move(phi);
-
-  if (structured) {
-    step->structured = StepOperator(step->expOp, step->phiOp, dropTolerance);
-    step->structuredSelected = true;
-  }
-
-  prepared_ = options.useCache && cache.enabled() ? cache.store(std::move(step))
-                                                  : std::move(step);
   preparedStep_ = stepSize;
+  next_.assign(prepared_->offset.size(), 0.0);
 }
 
-bool RcNetwork::structuredPathActive() const noexcept {
-  return prepared_ != nullptr && prepared_->structuredSelected;
+std::size_t RcNetwork::inputCount() const noexcept {
+  return prepared_ == nullptr ? 0 : prepared_->inputs;
 }
 
-const StepOperator* RcNetwork::structuredOperator() const noexcept {
-  return structuredPathActive() ? &prepared_->structured : nullptr;
-}
-
-void RcNetwork::step(std::span<const Watts> power) {
+void RcNetwork::step(std::span<const Watts> inputs) {
   RLTHERM_TIMED_SCOPE("thermal.rc.step");
-  expects(preparedStep_.has_value() && prepared_ != nullptr,
-          "RcNetwork::step called before prepare()");
-  expects(power.size() == nodes_.size(), "step: power vector size mismatch");
-  const std::size_t n = nodes_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    expects(power[i] >= 0.0, "step: negative power");
-    scratch_[i] = power[i] + ambientG_[i] * ambient_;
-  }
-  if (prepared_->structuredSelected) {
-    prepared_->structured.applyHomogeneous(temps_, homogeneous_);
-    // Plateau cache on the forced half: governors hold a power level for
-    // many ticks, and Φ·u is a pure function of u — when the input bytes
-    // are unchanged, recomputing would reproduce forced_ bit-for-bit, so
-    // reuse is exact and skips half the per-tick work.
-    const bool inputUnchanged =
-        forcedValid_ &&
-        std::memcmp(scratch_.data(), lastInput_.data(), n * sizeof(double)) == 0;
-    if (!inputUnchanged) {
-      prepared_->structured.applyForced(scratch_, forced_);
-      std::copy(scratch_.begin(), scratch_.end(), lastInput_.begin());
-      forcedValid_ = true;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      temps_[i] = homogeneous_[i] + forced_[i];
-      RLTHERM_ENSURE(isPhysicalTemperature(temps_[i]),
+  expects(prepared_ != nullptr, "RcNetwork::step called before prepare()");
+  expects(inputs.size() == prepared_->inputs, "step: input vector size mismatch");
+  for (const Watts p : inputs) expects(p >= 0.0, "step: negative power");
+  applyTiles(*prepared_, temps_.data(), inputs.data(), next_.data());
+  std::copy_n(next_.begin(), temps_.size(), temps_.begin());
+  if constexpr (kContractsEnabled) {
+    for (const Celsius t : temps_) {
+      RLTHERM_ENSURE(isPhysicalTemperature(t),
                      "RcNetwork::step produced a non-physical temperature");
     }
-    return;
-  }
-  prepared_->expOp.multiplyInto(temps_, homogeneous_);
-  prepared_->phiOp.multiplyInto(scratch_, forced_);
-  for (std::size_t i = 0; i < n; ++i) {
-    temps_[i] = homogeneous_[i] + forced_[i];
-    RLTHERM_ENSURE(isPhysicalTemperature(temps_[i]),
-                   "RcNetwork::step produced a non-physical temperature");
   }
 }
 

@@ -15,16 +15,21 @@
 //     T(t+h) = E T(t) + Phi b,   E = e^{A h},  Phi = A^{-1}(E - I),
 //     A = -C^{-1} G,             b = C^{-1} (P + G_amb T_amb contribution)
 //
-// E and Phi are precomputed once per step size, making each simulator tick a
-// pair of small matrix-vector products. A classic RK4 integrator is provided
-// as an independent cross-check for the tests.
+// The simulator drives only m inputs (one power per core), so prepare()
+// takes the package's input map B (n x m; node power = B p) and folds it
+// into the operator once:
 //
-// prepare() accepts StepOptions controlling HOW the tick is executed:
-// the allocation-free dense reference path (default below
-// structuredThreshold nodes), or the structured fast path (step_operator.hpp)
-// that fuses E and Phi into run-compressed rows and skips near-zero
-// couplings. Prepared operators are shared across networks through the
-// process-wide fingerprint-keyed cache (expop_cache.hpp).
+//     T(t+h) = E T(t) + F p + d,   F = Phi C^{-1} B,
+//                                  d = Phi C^{-1} G_amb T_amb
+//
+// [E | F] is packed into 8-row tiles stored column by column, and step()
+// walks each tile once with 2-wide SIMD accumulators. Every row is still
+// summed in column order (E T, then F p + d, the two added last), so with
+// unit input columns the step is bit-identical to the two-matvec form
+// E T + Phi C^{-1} (P + G_amb T_amb). A classic RK4 integrator is provided
+// as an independent cross-check for the tests. Prepared operators are
+// shared across networks through the process-wide fingerprint-keyed cache
+// (expop_cache.hpp).
 #pragma once
 
 #include <cstdint>
@@ -40,34 +45,6 @@
 namespace rltherm::thermal {
 
 struct PreparedStep;
-class StepOperator;
-
-/// How prepare() builds and step() applies the exact-step operators.
-struct StepOptions {
-  enum class Path {
-    Auto,        ///< structured at/above structuredThreshold nodes, else dense
-    Dense,       ///< always the dense reference path
-    Structured,  ///< always the fused run-compressed path
-  };
-  Path path = Path::Auto;
-
-  /// Fused-operator entries with |a| <= dropTolerance are skipped by the
-  /// structured kernel. 0 keeps every entry, making the structured path
-  /// bit-identical to dense. The default drops only numerical dust — far
-  /// below the ~1e-7 coupling floor the shared spreader puts under every
-  /// node pair — so dropped mass per row stays ≲1e-10 and the accumulated
-  /// drift over 10k-tick horizons is well under 1e-6 °C (pinned by the
-  /// tests/thermal/ property suite).
-  double dropTolerance = 1e-12;
-
-  /// Auto path selection: networks with fewer nodes than this stay on the
-  /// dense reference (the fused kernel's win only materializes once rows
-  /// no longer fit the store-to-load window of the two-matvec loop).
-  std::size_t structuredThreshold = 32;
-
-  /// Consult / populate the process-wide ExpOperatorCache.
-  bool useCache = true;
-};
 
 /// Node role, for reporting and floorplan queries.
 enum class NodeKind { Core, Spreader, Sink, Other };
@@ -132,18 +109,20 @@ class RcNetwork {
   void setUniformTemperature(Celsius t);
   void setTemperatures(std::span<const Celsius> temps);
 
-  /// Precompute the exact-step operator for the given step size (seconds).
-  /// Must be called before step(); may be called again to change the step.
-  /// The overload without options uses StepOptions defaults (Auto path).
+  /// Precompute the exact step for the given step size (seconds) with the
+  /// input map B (nodeCount() x m, entries finite and >= 0): step() then
+  /// takes m inputs and node power is B p. Must be called before step();
+  /// may be called again to change the step or the map.
+  void prepare(Seconds stepSize, const Matrix& inputMap);
+  /// Identity input map: step() takes one power per node.
   void prepare(Seconds stepSize);
-  void prepare(Seconds stepSize, const StepOptions& options);
 
-  /// Advance one step of `stepSize` with the given per-node power (W).
-  /// Requires prepare() to have been called and power.size() == nodeCount().
-  void step(std::span<const Watts> power);
+  /// Advance one step of the prepared size with the given inputs (W).
+  /// Requires prepare() to have been called and inputs.size() == inputCount().
+  void step(std::span<const Watts> inputs);
 
-  /// Advance one step with classic RK4 at the same step size (for
-  /// cross-validation; does not require prepare()).
+  /// Advance one step with classic RK4 under per-node power (for
+  /// cross-validation; ignores the input map, does not require prepare()).
   void stepRk4(std::span<const Watts> power, Seconds stepSize);
 
   /// Steady-state temperatures under constant power (solves G T = P + amb).
@@ -152,16 +131,22 @@ class RcNetwork {
   /// The prepared step size, if prepare() has been called.
   [[nodiscard]] std::optional<Seconds> preparedStep() const noexcept { return preparedStep_; }
 
-  /// True when the last prepare() selected the structured fast path.
-  [[nodiscard]] bool structuredPathActive() const noexcept;
+  /// Inputs step() expects (columns of the prepared input map); 0 before
+  /// prepare().
+  [[nodiscard]] std::size_t inputCount() const noexcept;
 
-  /// The fused operator driving step(), or nullptr on the dense path /
-  /// before prepare(). Exposes density/exactness stats to tests + benches.
-  [[nodiscard]] const StepOperator* structuredOperator() const noexcept;
+  /// The packed operator driving step(), or nullptr before prepare().
+  /// Networks that hit the same ExpOperatorCache entry share one object.
+  [[nodiscard]] const PreparedStep* preparedOperator() const noexcept {
+    return prepared_.get();
+  }
 
-  /// FNV-1a fingerprint of the last prepared (stepSize, network, options)
+  /// FNV-1a fingerprint of the last prepared (stepSize, network, input map)
   /// tuple — the ExpOperatorCache key; 0 before prepare().
   [[nodiscard]] std::uint64_t operatorFingerprint() const noexcept { return fingerprint_; }
+
+  /// G: the conductance Laplacian plus ambient conductances on the diagonal.
+  [[nodiscard]] const Matrix& conductance() const noexcept { return conductance_; }
 
  private:
   /// dT/dt for RK4: C^-1 (P - G(T) + amb contribution).
@@ -176,19 +161,11 @@ class RcNetwork {
   std::vector<Celsius> temps_;
 
   std::optional<Seconds> preparedStep_;
-  /// Immutable prepared operators (E, Φ, fused form), possibly shared with
-  /// other networks through the ExpOperatorCache.
+  /// Immutable packed operator, possibly shared with other networks through
+  /// the ExpOperatorCache.
   std::shared_ptr<const PreparedStep> prepared_;
   std::uint64_t fingerprint_ = 0;
-  std::vector<double> scratch_;  // u = P + G_amb·T_amb
-  std::vector<double> homogeneous_;
-  std::vector<double> forced_;
-  /// Plateau cache for the structured path: forced_ holds Φ·lastInput_
-  /// while forcedValid_; step() skips the forced half when the tick's input
-  /// is byte-identical (reuse is bit-exact — the product is deterministic).
-  /// Invalidated by prepare(); never serialized (resume recomputes it).
-  std::vector<double> lastInput_;
-  bool forcedValid_ = false;
+  std::vector<double> next_;  // step() output, padded to whole tiles
 };
 
 }  // namespace rltherm::thermal

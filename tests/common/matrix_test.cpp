@@ -210,7 +210,8 @@ TEST(ExpmTest, NonSquareThrows) {
 
 TEST(MatrixTest, MultiplyIntoBitMatchesOperatorStar) {
   // multiplyInto is documented bit-identical to operator* (same accumulation
-  // order) — the structured thermal path's exactness proof leans on this.
+  // order) — the RC step kernel's bit-identity to the dense two-matvec
+  // step leans on this fixed order.
   Rng rng(2024);
   for (const std::size_t n : {1u, 3u, 17u, 40u}) {
     const Matrix a = randomDiagonallyDominant(n, rng);

@@ -128,8 +128,8 @@ TEST(SweepParallelTest, AggregateIsBitIdenticalAcrossJobCounts) {
   expectReportsIdentical(serial, eight);
 }
 
-/// Specs on a grid-thermal machine big enough (66 nodes) that Auto engages
-/// the structured fast path, with the process-wide exp-operator cache live:
+/// Specs on the 66-node grid-thermal machine with the process-wide
+/// exp-operator cache live:
 /// identical machines across specs make workers race to prepare the same
 /// fingerprint, the exact sharing pattern the cache's determinism argument
 /// (thermal/expop_cache.hpp) has to survive.
@@ -152,7 +152,7 @@ std::vector<RunSpec> gridSpecs(std::uint64_t seed) {
   return specs;
 }
 
-TEST(SweepParallelTest, StructuredFastPathWithCacheStaysBitIdentical) {
+TEST(SweepParallelTest, GridPlantWithCacheStaysBitIdentical) {
   thermal::ExpOperatorCache& cache = thermal::ExpOperatorCache::instance();
   cache.clear();
   cache.setEnabled(true);

@@ -227,12 +227,11 @@ TEST(ResumeDeterminismTest, SweepPolicyZooIsBitIdenticalAtAnyJobsCount) {
   std::filesystem::remove(path);
 }
 
-/// Same interrupted-equals-uninterrupted claim, but on a grid-thermal
-/// machine big enough (66 nodes) that prepare() selects the structured fast
-/// path and every tick of both phases runs through the fused operator, with
-/// the exp-operator cache live. A checkpoint taken under the fast path must
-/// resume bit-exactly: the cached/fused operator is part of the machine, not
-/// of the policy state, so it must not leak into (or diverge after) resume.
+/// Same interrupted-equals-uninterrupted claim, but on the 66-node
+/// grid-thermal machine, with the exp-operator cache live so the resumed
+/// machine adopts the cached packed operator. A checkpoint must resume
+/// bit-exactly: the operator is part of the machine, not of the policy
+/// state, so it must not leak into (or diverge after) resume.
 TEST(ResumeDeterminismTest, FastPathGridMachineResumesBitExactly) {
   thermal::ExpOperatorCache& cache = thermal::ExpOperatorCache::instance();
   cache.clear();

@@ -22,8 +22,7 @@ constexpr Seconds kTick = 0.01;
 
 GridThermalConfig cachedGridConfig() {
   GridThermalConfig config;
-  config.cellsPerCoreSide = 4;  // 66 nodes: Auto selects the structured path
-  config.step.useCache = true;
+  config.cellsPerCoreSide = 4;  // 66 nodes, the grid64 plant
   return config;
 }
 
@@ -47,8 +46,8 @@ TEST(ExpOpCache, ColdPrepareMissesThenIdenticalPrepareHits) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
 
-  // Shared entry, not a copy: both networks hold the same fused operator.
-  EXPECT_EQ(first.network().structuredOperator(), second.network().structuredOperator());
+  // Shared entry, not a copy: both networks hold the same packed operator.
+  EXPECT_EQ(first.network().preparedOperator(), second.network().preparedOperator());
   EXPECT_EQ(first.network().operatorFingerprint(), second.network().operatorFingerprint());
 }
 
@@ -73,37 +72,39 @@ TEST(ExpOpCache, FingerprintSeparatesStepSizeAndNetworkAndOptions) {
   different.prepare(kTick);
   EXPECT_NE(different.network().operatorFingerprint(), baseFp);
 
-  // Different drop tolerance on the structured path.
-  GridThermalConfig looser = cachedGridConfig();
-  looser.step.dropTolerance = 1e-9;
-  GridPackage pruned(looser);
-  pruned.prepare(kTick);
-  EXPECT_NE(pruned.network().operatorFingerprint(), baseFp);
+  // Different ambient temperature: same E and F, different offset d.
+  GridThermalConfig warmer = cachedGridConfig();
+  warmer.ambient += 1.0;
+  GridPackage hotRoom(warmer);
+  hotRoom.prepare(kTick);
+  EXPECT_NE(hotRoom.network().operatorFingerprint(), baseFp);
 
   EXPECT_EQ(cache.stats().misses, 4u);
   EXPECT_EQ(cache.stats().entries, 4u);
 }
 
-TEST(ExpOpCache, DensePathCanonicalizesToleranceIntoOneFingerprint) {
+TEST(ExpOpCache, InputMapSeparatesFingerprintsAndEqualMapsHit) {
   ExpOperatorCache& cache = ExpOperatorCache::instance();
   cache.clear();
   cache.setEnabled(true);
 
-  // The dense path ignores dropTolerance, so two dense prepares differing
-  // only in tolerance must share one cache entry.
-  GridThermalConfig a = cachedGridConfig();
-  a.step.path = StepOptions::Path::Dense;
-  a.step.dropTolerance = 1e-12;
-  GridThermalConfig b = a;
-  b.step.dropTolerance = 1e-6;
+  // The same network folded with two different input maps is two different
+  // operators; a second package with an equal map shares the first entry.
+  GridPackage perCore(cachedGridConfig());
+  perCore.prepare(kTick);
+  RcNetwork perNode = perCore.network();
+  perNode.prepare(kTick);  // identity map: one input per node
+  EXPECT_NE(perCore.network().operatorFingerprint(), perNode.operatorFingerprint());
+  EXPECT_EQ(perNode.inputCount(), perNode.nodeCount());
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().entries, 2u);
 
-  GridPackage first(a);
-  first.prepare(kTick);
-  GridPackage second(b);
-  second.prepare(kTick);
-  EXPECT_EQ(first.network().operatorFingerprint(), second.network().operatorFingerprint());
+  GridPackage again(cachedGridConfig());
+  again.prepare(kTick);
+  EXPECT_EQ(again.network().operatorFingerprint(), perCore.network().operatorFingerprint());
+  EXPECT_EQ(again.network().preparedOperator(), perCore.network().preparedOperator());
   EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().entries, 2u);
 }
 
 TEST(ExpOpCache, DisabledCacheNeverReturnsEntriesAndStopsCounting) {
@@ -121,23 +122,9 @@ TEST(ExpOpCache, DisabledCacheNeverReturnsEntriesAndStopsCounting) {
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.entries, 0u);
   // Each prepare built a private operator: still correct, just unshared.
-  EXPECT_NE(first.network().structuredOperator(), second.network().structuredOperator());
+  EXPECT_NE(first.network().preparedOperator(), second.network().preparedOperator());
 
   cache.setEnabled(true);
-}
-
-TEST(ExpOpCache, PerPrepareOptOutBypassesAnEnabledCache) {
-  ExpOperatorCache& cache = ExpOperatorCache::instance();
-  cache.clear();
-  cache.setEnabled(true);
-
-  GridThermalConfig config = cachedGridConfig();
-  config.step.useCache = false;
-  GridPackage package(config);
-  package.prepare(kTick);
-  const ExpOpCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses + stats.inserts, 0u)
-      << "useCache=false must not touch the global cache at all";
 }
 
 TEST(ExpOpCache, WarmHitTrajectoryIsBitIdenticalToColdPrepare) {
@@ -152,11 +139,9 @@ TEST(ExpOpCache, WarmHitTrajectoryIsBitIdenticalToColdPrepare) {
   ASSERT_EQ(cache.stats().hits, 1u);
 
   const std::vector<Watts> corePower = {3.0, 0.5, 2.0, 1.0};
-  std::vector<Watts> nodePower;
   for (std::size_t t = 0; t < 500; ++t) {
-    cold.nodePowerInto(corePower, nodePower);
-    cold.network().step(nodePower);
-    warm.network().step(nodePower);
+    cold.network().step(corePower);
+    warm.network().step(corePower);
     const std::span<const Celsius> a = cold.network().temperatures();
     const std::span<const Celsius> b = warm.network().temperatures();
     ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(Celsius)))

@@ -1,37 +1,44 @@
-// Property-test harness for the structured RC fast path (step_operator.hpp).
+// Property-test harness for the packed RC step kernel (rc_network.hpp).
 //
-// The contract under test, from StepOptions:
-//  - dropTolerance == 0 (exact mode): the structured step is BIT-IDENTICAL
-//    to the dense reference path, tick for tick;
-//  - the default tolerance (1e-12): drift versus dense stays under 1e-6 °C
-//    over 10k-tick horizons on seeded random heterogeneous grids;
-//  - the bound is falsifiable: a deliberately wrong tolerance that truncates
-//    genuine couplings (the canary) must BREAK the 1e-6 bound, proving the
-//    harness would catch a mis-banded operator rather than vacuously pass.
+// The contract under test:
+//  - on the lumped quad-core package (unit input columns at the core nodes,
+//    ambient only at the sink) the step is BIT-IDENTICAL, tick for tick, to
+//    the classic dense two-matvec step E T + Phi (P + G_amb T_amb), which a
+//    test-side oracle rebuilds from expm + LuFactorization;
+//  - on seeded random heterogeneous grids (4 .. 128 cells) with a
+//    per-core input map, the step stays within kRk4Bound of RK4 on fine
+//    sub-steps and settles onto steadyState();
+//  - the bound is falsifiable: a deliberately wrong input-map weight (the
+//    canary) must BREAK it, proving the harness would catch a mis-folded
+//    operator rather than vacuously pass.
 //
-// Grids are random W x H cell meshes (4 .. 128 cells) with heterogeneous
-// capacitances and conductances built straight through RcNetwork::Builder,
-// driven by power traces with plateaus and steps — the worst case for
-// operator error accumulation because plateau segments let a biased operator
-// integrate its bias instead of averaging it out. RK4 serves as an
-// independent oracle on one grid: both paths must track physics, not just
-// each other.
+// Inputs are leaky: every tick adds a temperature-dependent leakage term
+// to a plateau-shaped dynamic power, so the input changes on every tick as
+// it does in the closed loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "thermal/expop_cache.hpp"
-#include "thermal/grid_model.hpp"
+#include "thermal/quadcore.hpp"
 #include "thermal/rc_network.hpp"
-#include "thermal/step_operator.hpp"
 
 namespace rltherm::thermal {
 namespace {
 
 constexpr Seconds kTick = 0.01;
+
+/// Max |kernel - RK4| (°C) allowed on the random grids, and on the settle
+/// to steady state. Measured: at most 5e-10 against RK4 on 2 ms sub-steps
+/// and 1e-11 against the LU steady state; the wrong-weight canary reaches
+/// 6e-2. The bound keeps a 20x margin above the first and sits six orders
+/// below the second.
+constexpr double kRk4Bound = 1e-8;
+constexpr int kRk4SubSteps = 5;
 
 /// Random W x H cell grid + spreader + sink, every capacitance and
 /// resistance drawn independently (heterogeneous by construction).
@@ -72,78 +79,162 @@ RcNetwork buildRandomGrid(Rng& rng, std::size_t rows, std::size_t cols) {
   return builder.build();
 }
 
-/// Piecewise-constant per-cell power: plateaus of 50..400 ticks, then a step
-/// to freshly drawn levels. Spreader/sink (the last two nodes) stay at 0 W.
-class PlateauTrace {
+/// Four "cores", one per quadrant of the rows x cols cell grid; each
+/// core's power is spread uniformly over its cells (the GridPackage map).
+Matrix quadrantInputMap(std::size_t nodes, std::size_t rows, std::size_t cols) {
+  const std::size_t rowSplit = (rows + 1) / 2;
+  const std::size_t colSplit = (cols + 1) / 2;
+  Matrix map(nodes, 4);
+  std::vector<double> cellsPerCore(4, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t core = (r < rowSplit ? 0 : 2) + (c < colSplit ? 0 : 1);
+      map(r * cols + c, core) = 1.0;
+      cellsPerCore[core] += 1.0;
+    }
+  }
+  for (std::size_t i = 0; i < rows * cols; ++i) {
+    for (std::size_t core = 0; core < 4; ++core) map(i, core) /= cellsPerCore[core];
+  }
+  return map;
+}
+
+/// Plateau-shaped dynamic power (redrawn every 50..400 ticks) plus a
+/// leakage term per input that follows the temperature of the node with
+/// the same index, so the returned inputs change on every tick.
+class LeakyTrace {
  public:
-  PlateauTrace(Rng& rng, std::size_t nodeCount)
-      : rng_(rng), power_(nodeCount, 0.0) {
+  LeakyTrace(Rng& rng, std::size_t inputs) : rng_(rng), dynamic_(inputs), power_(inputs) {
     redraw();
   }
 
-  const std::vector<Watts>& at(std::size_t tick) {
+  const std::vector<Watts>& at(std::size_t tick, std::span<const Celsius> temps) {
     if (tick >= nextChange_) {
       redraw();
       nextChange_ = tick + 50 + rng_.uniformInt(350);
+    }
+    for (std::size_t i = 0; i < power_.size(); ++i) {
+      power_[i] = dynamic_[i] + 0.3 * std::exp(0.02 * (temps[i] - 25.0));
     }
     return power_;
   }
 
  private:
   void redraw() {
-    for (std::size_t i = 0; i + 2 < power_.size(); ++i) power_[i] = rng_.uniform(0.0, 2.0);
+    for (double& p : dynamic_) p = rng_.uniform(0.0, 8.0);
   }
   Rng& rng_;
+  std::vector<Watts> dynamic_;
   std::vector<Watts> power_;
   std::size_t nextChange_ = 0;
 };
 
+/// The classic dense two-matvec exact step, built test-side from expm and
+/// LuFactorization: T' = E T + Phi (P + G_amb T_amb) with E = e^{Ah},
+/// A = -C^{-1} G and Phi = A^{-1}(E - I) C^{-1}, each product summed in
+/// column order by Matrix::multiplyInto.
+class DenseOracle {
+ public:
+  DenseOracle(const RcNetwork& net, Seconds h)
+      : n_(net.nodeCount()),
+        temps_(net.temperatures().begin(), net.temperatures().end()),
+        input_(n_),
+        homogeneous_(n_),
+        forced_(n_) {
+    std::vector<double> invCap(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      invCap[i] = 1.0 / net.node(i).capacitance;
+      const auto& r = net.node(i).resistanceToAmbient;
+      ambientG_.push_back(r ? 1.0 / *r : 0.0);
+    }
+    Matrix a(n_, n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t j = 0; j < n_; ++j) a(i, j) = -invCap[i] * net.conductance()(i, j);
+    }
+    e_ = expm(a * h);
+    phi_ = LuFactorization(a).solve(e_ - Matrix::identity(n_));
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t j = 0; j < n_; ++j) phi_(i, j) *= invCap[j];
+    }
+    ambient_ = net.ambient();
+  }
+
+  void step(std::span<const Watts> nodePower) {
+    for (std::size_t i = 0; i < n_; ++i) input_[i] = nodePower[i] + ambientG_[i] * ambient_;
+    e_.multiplyInto(temps_, homogeneous_);
+    phi_.multiplyInto(input_, forced_);
+    for (std::size_t i = 0; i < n_; ++i) temps_[i] = homogeneous_[i] + forced_[i];
+  }
+
+  [[nodiscard]] std::span<const Celsius> temperatures() const { return temps_; }
+
+ private:
+  std::size_t n_;
+  Matrix e_;
+  Matrix phi_;
+  std::vector<double> ambientG_;
+  Celsius ambient_ = 25.0;
+  std::vector<Celsius> temps_;
+  std::vector<double> input_;
+  std::vector<double> homogeneous_;
+  std::vector<double> forced_;
+};
+
 double maxAbsDiff(std::span<const Celsius> a, std::span<const Celsius> b) {
   double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = std::abs(a[i] - b[i]);
-    if (d > worst) worst = d;
-  }
+  for (std::size_t i = 0; i < a.size(); ++i) worst = std::max(worst, std::abs(a[i] - b[i]));
   return worst;
 }
 
-/// Runs dense and structured copies of the same network over the same trace
-/// and returns the worst per-node divergence seen at any tick.
-double worstDivergence(const RcNetwork& prototype, const StepOptions& structuredOptions,
-                       std::size_t ticks, std::uint64_t traceSeed) {
-  RcNetwork dense = prototype;
-  RcNetwork structured = prototype;
-  StepOptions denseOptions;
-  denseOptions.path = StepOptions::Path::Dense;
-  denseOptions.useCache = false;
-  dense.prepare(kTick, denseOptions);
-  structured.prepare(kTick, structuredOptions);
-  EXPECT_FALSE(dense.structuredPathActive());
-  EXPECT_TRUE(structured.structuredPathActive());
+// (a) The default plant: the packed kernel must equal the dense two-matvec
+// step bit for bit, so folding the input map changed no simulated value.
+TEST(StepEquivalenceProperty, LumpedStepIsBitIdenticalToDenseOracle) {
+  QuadCorePackage pkg = buildQuadCorePackage({});
+  pkg.network.setTemperatures(pkg.network.steadyState(pkg.nodePower(
+      std::vector<Watts>{1.0, 1.0, 1.0, 1.0})));
+  pkg.prepare(kTick);
+  ASSERT_EQ(pkg.network.inputCount(), 4u);
+  DenseOracle oracle(pkg.network, kTick);
 
-  dense.setUniformTemperature(40.0);
-  structured.setUniformTemperature(40.0);
-  Rng traceRng(traceSeed);
-  PlateauTrace trace(traceRng, prototype.nodeCount());
+  Rng rng(0x1EA4);
+  LeakyTrace trace(rng, 4);  // nodes 0..3 are the cores
+  for (std::size_t t = 0; t < 12000; ++t) {
+    const std::vector<Watts>& corePower = trace.at(t, pkg.network.temperatures());
+    pkg.network.step(corePower);
+    oracle.step(pkg.nodePower(corePower));
+    const std::span<const Celsius> a = pkg.network.temperatures();
+    const std::span<const Celsius> b = oracle.temperatures();
+    ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(Celsius)))
+        << "bitwise divergence from the dense oracle at tick " << t;
+  }
+}
+
+/// Runs the kernel (prepared with `kernelMap`) against RK4 on kRk4SubSteps
+/// sub-steps per tick (fed B p with the true `map`) over leaky inputs, and
+/// returns the worst per-node divergence seen at any tick.
+double worstRk4Divergence(const RcNetwork& prototype, const Matrix& map,
+                          const Matrix& kernelMap, std::size_t ticks, std::uint64_t seed) {
+  RcNetwork kernel = prototype;
+  RcNetwork rk4 = prototype;
+  kernel.prepare(kTick, kernelMap);
+  kernel.setUniformTemperature(40.0);
+  rk4.setUniformTemperature(40.0);
+  Rng rng(seed);
+  LeakyTrace trace(rng, map.cols());
   double worst = 0.0;
   for (std::size_t t = 0; t < ticks; ++t) {
-    const std::vector<Watts>& power = trace.at(t);
-    dense.step(power);
-    structured.step(power);
-    worst = std::max(worst, maxAbsDiff(dense.temperatures(), structured.temperatures()));
+    const std::vector<Watts>& corePower = trace.at(t, rk4.temperatures());
+    kernel.step(corePower);
+    const std::vector<Watts> nodePower = map * std::span<const Watts>(corePower);
+    for (int s = 0; s < kRk4SubSteps; ++s) rk4.stepRk4(nodePower, kTick / kRk4SubSteps);
+    worst = std::max(worst, maxAbsDiff(kernel.temperatures(), rk4.temperatures()));
   }
   return worst;
 }
 
-StepOptions structuredNoCache(double dropTolerance) {
-  StepOptions options;
-  options.path = StepOptions::Path::Structured;
-  options.dropTolerance = dropTolerance;
-  options.useCache = false;
-  return options;
-}
-
-TEST(StepEquivalenceProperty, DefaultToleranceHoldsTightBoundOver10kTicks) {
+// (b) Physics, not just self-consistency: random heterogeneous grids track
+// RK4 within kRk4Bound and settle onto the LU steady state.
+TEST(StepEquivalenceProperty, RandomGridsStayNearRk4AndSettleToSteadyState) {
   const struct {
     std::size_t rows, cols;
   } sizes[] = {{2, 2}, {4, 4}, {6, 8}, {8, 16}};  // 4 .. 128 cells
@@ -151,162 +242,64 @@ TEST(StepEquivalenceProperty, DefaultToleranceHoldsTightBoundOver10kTicks) {
   for (const auto& size : sizes) {
     Rng rng(seed++);
     const RcNetwork net = buildRandomGrid(rng, size.rows, size.cols);
-    const double worst =
-        worstDivergence(net, structuredNoCache(StepOptions{}.dropTolerance), 10000, seed * 31);
-    EXPECT_LT(worst, 1e-6) << size.rows << "x" << size.cols
-                           << " grid drifted past the documented bound";
+    const Matrix map = quadrantInputMap(net.nodeCount(), size.rows, size.cols);
+    EXPECT_LT(worstRk4Divergence(net, map, map, 1000, seed * 31), kRk4Bound)
+        << size.rows << "x" << size.cols << " grid left the RK4 bound";
+
+    // The exact step holds for any h: 100 steps of 50 s under constant
+    // input must land on G^{-1}(B p + G_amb T_amb).
+    RcNetwork settle = net;
+    settle.prepare(50.0, map);
+    const std::vector<Watts> corePower = {6.0, 1.0, 3.5, 0.5};
+    for (int i = 0; i < 100; ++i) settle.step(corePower);
+    const std::vector<Celsius> expected =
+        settle.steadyState(map * std::span<const Watts>(corePower));
+    EXPECT_LT(maxAbsDiff(settle.temperatures(), expected), kRk4Bound)
+        << size.rows << "x" << size.cols << " grid missed its steady state";
   }
 }
 
-TEST(StepEquivalenceProperty, ExactModeIsBitIdenticalToDense) {
-  for (const std::uint64_t seed : {11ULL, 12ULL}) {
-    Rng rng(seed);
-    const RcNetwork prototype = buildRandomGrid(rng, 6, 8);
-    RcNetwork dense = prototype;
-    RcNetwork structured = prototype;
-    StepOptions denseOptions;
-    denseOptions.path = StepOptions::Path::Dense;
-    denseOptions.useCache = false;
-    dense.prepare(kTick, denseOptions);
-    structured.prepare(kTick, structuredNoCache(0.0));
-    ASSERT_TRUE(structured.structuredPathActive());
-    ASSERT_NE(structured.structuredOperator(), nullptr);
-    EXPECT_TRUE(structured.structuredOperator()->exact());
-    EXPECT_EQ(structured.structuredOperator()->droppedMassMax(), 0.0);
-
-    dense.setUniformTemperature(40.0);
-    structured.setUniformTemperature(40.0);
-    Rng traceRng(seed * 977);
-    PlateauTrace trace(traceRng, prototype.nodeCount());
-    for (std::size_t t = 0; t < 10000; ++t) {
-      const std::vector<Watts>& power = trace.at(t);
-      dense.step(power);
-      structured.step(power);
-      const std::span<const Celsius> a = dense.temperatures();
-      const std::span<const Celsius> b = structured.temperatures();
-      ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(Celsius)))
-          << "bitwise divergence at tick " << t;
-    }
-  }
-}
-
-// The falsifiability canary: a tolerance large enough to truncate genuine
-// grid couplings (not just numerical dust) must visibly break the 1e-6
-// bound. If this test ever starts passing the bound, the harness has gone
-// vacuous — e.g. the structured path silently fell back to dense.
-TEST(StepEquivalenceProperty, WrongToleranceCanaryBreaksTheBound) {
+// (c) The falsifiability canary: one cell of a 16-cell core weighted 1/15
+// instead of 1/16 must visibly break the bound. If this ever passes the
+// bound, the harness has gone vacuous (e.g. the kernel ignores the map).
+TEST(StepEquivalenceProperty, WrongInputWeightCanaryBreaksTheBound) {
   Rng rng(0xBADBA4D);
-  const RcNetwork net = buildRandomGrid(rng, 6, 8);
-  RcNetwork probe = net;
-  const StepOptions canary = structuredNoCache(1e-4);
-  probe.prepare(kTick, canary);
-  ASSERT_NE(probe.structuredOperator(), nullptr);
-  EXPECT_FALSE(probe.structuredOperator()->exact());
-  EXPECT_GT(probe.structuredOperator()->droppedMassMax(), 0.0)
-      << "canary tolerance dropped nothing — it no longer tests anything";
-  const double worst = worstDivergence(net, canary, 10000, 0x5EED);
-  EXPECT_GT(worst, 1e-6) << "a coupling-truncating operator stayed within the "
-                            "tight bound; the equivalence harness is vacuous";
+  const RcNetwork net = buildRandomGrid(rng, 8, 8);
+  const Matrix map = quadrantInputMap(net.nodeCount(), 8, 8);
+  ASSERT_EQ(map(0, 0), 1.0 / 16.0);
+  Matrix wrong = map;
+  wrong(0, 0) = 1.0 / 15.0;
+  EXPECT_LT(worstRk4Divergence(net, map, map, 1000, 0x5EED), kRk4Bound);
+  EXPECT_GT(worstRk4Divergence(net, map, wrong, 1000, 0x5EED), kRk4Bound)
+      << "a mis-weighted input map stayed within the RK4 bound; the harness is vacuous";
 }
 
-// Independent physics oracle: classic RK4 at the same step size must agree
-// with BOTH paths. Guards against the degenerate failure where dense and
-// structured match each other bit for bit because both apply the same wrong
-// operator.
+// Independent physics oracle at the SAME step size: RK4 must agree with
+// both the packed kernel and the dense oracle. Guards against the
+// degenerate failure where kernel and oracle match each other bit for bit
+// because both apply the same wrong operator.
 TEST(StepEquivalenceProperty, Rk4OracleAgreesWithBothPaths) {
   Rng rng(0x04AC1E);
-  const RcNetwork prototype = buildRandomGrid(rng, 4, 4);
-  RcNetwork dense = prototype;
-  RcNetwork structured = prototype;
-  RcNetwork rk4 = prototype;
-  StepOptions denseOptions;
-  denseOptions.path = StepOptions::Path::Dense;
-  denseOptions.useCache = false;
-  dense.prepare(kTick, denseOptions);
-  structured.prepare(kTick, structuredNoCache(StepOptions{}.dropTolerance));
-  for (RcNetwork* n : {&dense, &structured, &rk4}) n->setUniformTemperature(40.0);
+  RcNetwork kernel = buildRandomGrid(rng, 4, 4);
+  kernel.setUniformTemperature(40.0);
+  RcNetwork rk4 = kernel;
+  kernel.prepare(kTick);
+  DenseOracle dense(kernel, kTick);
 
   Rng traceRng(0x7EA7);
-  PlateauTrace trace(traceRng, prototype.nodeCount());
+  LeakyTrace trace(traceRng, kernel.nodeCount());
   double worstDense = 0.0;
-  double worstStructured = 0.0;
+  double worstKernel = 0.0;
   for (std::size_t t = 0; t < 2000; ++t) {
-    const std::vector<Watts>& power = trace.at(t);
+    const std::vector<Watts>& power = trace.at(t, rk4.temperatures());
+    kernel.step(power);
     dense.step(power);
-    structured.step(power);
     rk4.stepRk4(power, kTick);
     worstDense = std::max(worstDense, maxAbsDiff(dense.temperatures(), rk4.temperatures()));
-    worstStructured =
-        std::max(worstStructured, maxAbsDiff(structured.temperatures(), rk4.temperatures()));
+    worstKernel = std::max(worstKernel, maxAbsDiff(kernel.temperatures(), rk4.temperatures()));
   }
   EXPECT_LT(worstDense, 1e-3);
-  EXPECT_LT(worstStructured, 1e-3);
-}
-
-TEST(StepEquivalenceProperty, AutoSelectionRespectsThreshold) {
-  Rng rng(0xA070);
-  const RcNetwork small = buildRandomGrid(rng, 2, 2);  // 6 nodes
-  const RcNetwork large = buildRandomGrid(rng, 6, 8);  // 50 nodes
-
-  RcNetwork net = small;
-  StepOptions options;
-  options.useCache = false;
-  net.prepare(kTick, options);
-  EXPECT_FALSE(net.structuredPathActive()) << "6 nodes < threshold must stay dense";
-
-  options.structuredThreshold = 4;
-  net.prepare(kTick, options);
-  EXPECT_TRUE(net.structuredPathActive()) << "lowered threshold must engage the fast path";
-
-  net = large;
-  options = StepOptions{};
-  options.useCache = false;
-  net.prepare(kTick, options);
-  EXPECT_TRUE(net.structuredPathActive()) << "50 nodes >= threshold must go structured";
-
-  options.path = StepOptions::Path::Dense;
-  net.prepare(kTick, options);
-  EXPECT_FALSE(net.structuredPathActive()) << "explicit Dense must override Auto";
-}
-
-// The distance-decay grid (GridThermalConfig::lateralCouplingRange > 1) is
-// the structured path's motivating topology: far-field couplings weaken as
-// d^-decay, and a modest tolerance prunes their near-zero exp-operator
-// entries while the divergence stays far below any temperature a policy
-// could observe.
-TEST(StepEquivalenceProperty, DistanceDecayGridPrunesFarFieldEntries) {
-  GridThermalConfig config;
-  config.cellsPerCoreSide = 4;       // 8x8 = 64 cells + spreader + sink
-  config.lateralCouplingRange = 3;
-  config.step.path = StepOptions::Path::Structured;
-  config.step.dropTolerance = 1e-6;  // prunes the far field, keeps physics
-  config.step.useCache = false;
-  GridPackage fast(config);
-  fast.prepare(kTick);
-  const StepOperator* op = fast.network().structuredOperator();
-  ASSERT_NE(op, nullptr);
-  EXPECT_LT(op->density(), 0.95) << "no pruning happened on the decay grid";
-  EXPECT_GT(op->storedEntries(), 0u);
-
-  GridThermalConfig denseConfig = config;
-  denseConfig.step = StepOptions{};
-  denseConfig.step.path = StepOptions::Path::Dense;
-  denseConfig.step.useCache = false;
-  GridPackage dense(denseConfig);
-  dense.prepare(kTick);
-
-  std::vector<Watts> corePower = {3.0, 0.5, 2.0, 1.0};
-  std::vector<Watts> nodePower;
-  double worst = 0.0;
-  for (std::size_t t = 0; t < 2000; ++t) {
-    if (t == 1000) corePower = {0.5, 3.0, 1.0, 2.0};
-    fast.nodePowerInto(corePower, nodePower);
-    fast.network().step(nodePower);
-    dense.network().step(nodePower);
-    worst = std::max(worst,
-                     maxAbsDiff(fast.network().temperatures(), dense.network().temperatures()));
-  }
-  EXPECT_LT(worst, 0.05) << "pruned far field moved temperatures by a policy-visible amount";
+  EXPECT_LT(worstKernel, 1e-3);
 }
 
 }  // namespace
