@@ -204,6 +204,8 @@ int main(int argc, char** argv) {
     ReportMeta meta;
     meta.wallMs = fleetWallMs;
     meta.jobs = serviceConfig.jobs == 0 ? exec::hardwareConcurrency() : serviceConfig.jobs;
+    // No serial baseline is run, so speedup_vs_serial stays unmeasured: the
+    // report omits it at jobs > 1 instead of claiming 1.
     meta.simSeconds = simSeconds;
     metrics.forEachHistogram([&](const std::string& name, const obs::Histogram& h) {
       meta.histograms.emplace(name, h);

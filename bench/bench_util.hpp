@@ -183,15 +183,15 @@ inline std::string jsonOutputPath(int argc, char** argv, const std::string& fall
 }
 
 /// Execution accounting attached to every JSON report: how long the bench
-/// took, how many parallel lanes ran it, the wall-clock speedup versus
-/// running its jobs back to back (1.0 for purely serial benches), the total
+/// took, how many parallel lanes ran it, the measured wall-clock speedup
+/// versus running its jobs back to back (0 = not measured), the total
 /// simulated seconds the bench covered (0 when not applicable), and the
 /// hot-path attribution that travels with the numbers (per-scope timer
 /// aggregates + histogram quantiles, when the bench collected them).
 struct ReportMeta {
   double wallMs = 0.0;
   std::size_t jobs = 1;
-  double speedup = 1.0;
+  double speedup = 0.0;
   double simSeconds = 0.0;
   std::map<std::string, obs::TraceCollector::ScopeStats> scopes;
   std::map<std::string, obs::Histogram> histograms;
@@ -220,7 +220,13 @@ inline void writePerfSections(obs::JsonWriter& json, const ReportMeta& meta) {
   obs::writeFingerprint(json, obs::currentFingerprint());
   json.key("wall_ms").value(meta.wallMs);
   json.key("jobs").value(static_cast<std::uint64_t>(meta.jobs));
-  json.key("speedup_vs_serial").value(meta.speedup);
+  // A single-lane bench is its own serial baseline. A multi-lane bench that
+  // did not measure its speedup reports none rather than a made-up 1.
+  if (meta.speedup > 0.0) {
+    json.key("speedup_vs_serial").value(meta.speedup);
+  } else if (meta.jobs == 1) {
+    json.key("speedup_vs_serial").value(1.0);
+  }
   json.key("sim_seconds").value(meta.simSeconds);
   json.key("sim_seconds_per_wall_second")
       .value(obs::simSecondsPerWallSecond(meta.simSeconds, meta.wallMs));
@@ -254,7 +260,7 @@ inline void writePerfSections(obs::JsonWriter& json, const ReportMeta& meta) {
 
 /// Writes a bench result table as a JSON report:
 ///   {"suite": NAME, "schema_version": V, "fingerprint": {...},
-///    "wall_ms": MS, "jobs": N, "speedup_vs_serial": X, "sim_seconds": S,
+///    "wall_ms": MS, "jobs": N, ["speedup_vs_serial": X,] "sim_seconds": S,
 ///    "sim_seconds_per_wall_second": RATE, "hot_scopes": [...],
 ///    "histograms": [...], <extra scalars...>,
 ///    "columns": [...], "rows": [{col: value, ...}, ...]}

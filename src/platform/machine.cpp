@@ -158,6 +158,11 @@ Machine::Machine(const MachineConfig& config)
   windowBusyActivity_.assign(config.coreCount, 0.0);
   windowTicks_.assign(config.coreCount, 0);
   lastRunning_.assign(config.coreCount, std::nullopt);
+  corePowerScratch_.assign(config.coreCount, 0.0);
+  executed_.reserve(config.coreCount);
+  for (const power::OperatingPoint& op : vfTable_.points()) {
+    leakageVoltageScale_.push_back(leakageModel_.voltageScale(op.voltage));
+  }
   setGovernor(config.initialGovernor);
 }
 
@@ -222,10 +227,10 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
     }
   }
 
-  const sched::Dispatch dispatch = scheduler_->schedule(dt);
+  const sched::Dispatch& dispatch = scheduler_->schedule(dt);
 
-  TickResult result;
-  corePowerScratch_.assign(config_.coreCount, 0.0);
+  executed_.clear();
+  std::fill(corePowerScratch_.begin(), corePowerScratch_.end(), 0.0);
   std::vector<Watts>& corePower = corePowerScratch_;
   Watts totalDynamic = 0.0;
   Watts totalStatic = 0.0;
@@ -236,11 +241,11 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
     if (runner) {
       activity = activityOf(*runner);
       expects(activity >= 0.0 && activity <= 1.0, "Thread activity must be in [0, 1]");
-      const double speed = scheduler_->speedFactor(*runner);
+      const double speed = scheduler_->coreSpeed(c);
       const bool coolingDown = speed < 1.0;
       counters_.recordExecution(coreFrequency_[c], dt, speed, coolingDown);
       if (lastRunning_[c] != runner) counters_.recordContextSwitch();
-      result.executed.push_back(ThreadExecution{
+      executed_.push_back(ThreadExecution{
           .thread = *runner,
           .core = static_cast<CoreId>(c),
           // During a control-plane stall the thread occupies the core (and
@@ -255,15 +260,18 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
 
     // Fused power model: dynamic + leakage for this core computed in the
     // same pass that dispatched it (no separate power loop, no per-tick
-    // allocation — the thermal plant reads corePowerScratch_ directly).
-    // An offline (retired) core is power-gated: no dynamic switching and no
-    // leakage, so its node cools toward ambient.
+    // allocation — the thermal plant reads corePowerScratch_ directly). The
+    // leakage voltage factor comes from the per-P-state table built in the
+    // constructor. An offline (retired) core is power-gated: no dynamic
+    // switching and no leakage, so its node cools toward ambient.
     if (scheduler_->coreOnline(static_cast<CoreId>(c))) {
-      const power::OperatingPoint op = vfTable_.floorFor(coreFrequency_[c]);
+      const power::OperatingPoint& op = vfTable_.floorFor(coreFrequency_[c]);
+      const auto point = static_cast<std::size_t>(&op - vfTable_.points().data());
       const CoreTypeSpec& type = coreType(c);
       const Watts dyn = dynamicModel_.power(op, activity) * type.dynamicPowerScale;
-      const Watts leak =
-          leakageModel_.power(op.voltage, plant_->meanTemperature(c)) * type.leakageScale;
+      const Watts leak = leakageModel_.powerScaled(leakageVoltageScale_[point],
+                                                   plant_->meanTemperature(c)) *
+                         type.leakageScale;
       corePower[c] = dyn + leak;
       totalDynamic += dyn;
       totalStatic += leak;
@@ -303,9 +311,8 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
     sinceGovernor_ = 0.0;
   }
 
-  result.dynamicPower = totalDynamic;
-  result.staticPower = totalStatic;
-  return result;
+  return TickResult{
+      .executed = executed_, .dynamicPower = totalDynamic, .staticPower = totalStatic};
 }
 
 std::vector<Celsius> Machine::readSensors() {

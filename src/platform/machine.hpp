@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,7 +94,9 @@ struct ThreadExecution {
 };
 
 struct TickResult {
-  std::vector<ThreadExecution> executed;
+  /// One entry per core that ran a thread, in core order. Views a buffer the
+  /// machine owns: valid until the next tick().
+  std::span<const ThreadExecution> executed;
   Watts dynamicPower = 0.0;  ///< chip total this tick
   Watts staticPower = 0.0;
 };
@@ -241,9 +244,12 @@ class Machine {
   Seconds stallRemaining_ = 0.0;
   Seconds now_ = 0.0;
 
-  /// Per-tick scratch (power map fed to the thermal plant); a member so the
-  /// fused power/leakage loop in tick() allocates nothing.
+  /// Per-tick scratch (power map fed to the thermal plant, the executions
+  /// TickResult views); members so tick() allocates nothing.
   std::vector<Watts> corePowerScratch_;
+  std::vector<ThreadExecution> executed_;
+  /// LeakagePowerModel::voltageScale of each VF-table point, by index.
+  std::vector<double> leakageVoltageScale_;
 };
 
 }  // namespace rltherm::platform

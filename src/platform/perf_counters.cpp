@@ -1,7 +1,5 @@
 #include "platform/perf_counters.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace rltherm::platform {
@@ -29,10 +27,12 @@ void PerfCounters::recordExecution(Hertz frequency, Seconds dt, double speed,
   missCarry_ += instructions * missRate;
   faultCarry_ += instructions * faultRate;
 
+  // The carries are never negative and stay far below 2^53, so truncating
+  // to an integer is exactly std::floor, without the libm call.
   const auto drain = [](double& carry, std::uint64_t& counter) {
-    const double whole = std::floor(carry);
-    counter += static_cast<std::uint64_t>(whole);
-    carry -= whole;
+    const auto whole = static_cast<std::uint64_t>(carry);
+    counter += whole;
+    carry -= static_cast<double>(whole);
   };
   drain(cycleCarry_, sample_.cycles);
   drain(instrCarry_, sample_.instructions);

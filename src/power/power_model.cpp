@@ -32,9 +32,15 @@ LeakagePowerModel::LeakagePowerModel(LeakagePowerConfig config) : config_(config
 }
 
 Watts LeakagePowerModel::power(Volts voltage, Celsius temperature) const {
+  return powerScaled(voltageScale(voltage), temperature);
+}
+
+double LeakagePowerModel::voltageScale(Volts voltage) const {
   expects(voltage > 0.0, "Voltage must be > 0");
-  const double voltageScale =
-      std::pow(voltage / config_.referenceVoltage, config_.voltageExponent);
+  return std::pow(voltage / config_.referenceVoltage, config_.voltageExponent);
+}
+
+Watts LeakagePowerModel::powerScaled(double voltageScale, Celsius temperature) const {
   const double tempScale =
       std::exp(config_.tempSensitivity * (temperature - config_.referenceTemp));
   const Watts p = config_.nominalLeakage * voltageScale * tempScale;

@@ -47,7 +47,15 @@ class LeakagePowerModel {
  public:
   explicit LeakagePowerModel(LeakagePowerConfig config = {});
 
+  /// powerScaled(voltageScale(voltage), temperature), bit for bit.
   [[nodiscard]] Watts power(Volts voltage, Celsius temperature) const;
+
+  /// The voltage factor (V/V0)^exp. It depends only on the operating point,
+  /// so a caller stepping through a fixed VF table computes it once per
+  /// P-state instead of calling std::pow every tick.
+  [[nodiscard]] double voltageScale(Volts voltage) const;
+  /// Leakage at `temperature` given a precomputed voltageScale().
+  [[nodiscard]] Watts powerScaled(double voltageScale, Celsius temperature) const;
 
   [[nodiscard]] const LeakagePowerConfig& config() const noexcept { return config_; }
 

@@ -14,6 +14,9 @@ Scheduler::Scheduler(SchedulerConfig config) : config_(config) {
   expects(config.migrationPenalty >= 0.0, "Migration penalty must be >= 0");
   expects(config.migrationSpeedFactor > 0.0 && config.migrationSpeedFactor <= 1.0,
           "Migration speed factor must be in (0, 1]");
+  dispatch_.running.assign(config.coreCount, std::nullopt);
+  dispatch_.waiting.assign(config.coreCount, 0);
+  runners_.assign(config.coreCount, nullptr);
 }
 
 void Scheduler::addThread(ThreadId id, AffinityMask affinity) {
@@ -42,13 +45,28 @@ void Scheduler::addThread(ThreadId id, AffinityMask affinity) {
   }
   t.vruntime = maxV;
   threads_.emplace(id, t);
+  rebuildOrder();
 }
 
 void Scheduler::removeThread(ThreadId id) {
-  expects(threads_.erase(id) == 1, "Scheduler::removeThread: unknown thread id");
+  const auto it = threads_.find(id);
+  expects(it != threads_.end(), "Scheduler::removeThread: unknown thread id");
+  std::replace(runners_.begin(), runners_.end(), &it->second,
+               static_cast<ThreadInfo*>(nullptr));
+  threads_.erase(it);
+  rebuildOrder();
 }
 
-void Scheduler::clear() { threads_.clear(); }
+void Scheduler::clear() {
+  threads_.clear();
+  order_.clear();
+  std::fill(runners_.begin(), runners_.end(), nullptr);
+}
+
+void Scheduler::rebuildOrder() {
+  order_.clear();
+  for (auto& [id, t] : threads_) order_.push_back(&t);
+}
 
 void Scheduler::setAffinity(ThreadId id, AffinityMask affinity) {
   expects(!affinity.empty(), "Scheduler::setAffinity: empty affinity mask");
@@ -142,7 +160,7 @@ void Scheduler::setCoreOnline(CoreId core, bool online) {
   }
 }
 
-Dispatch Scheduler::schedule(Seconds dt) {
+const Dispatch& Scheduler::schedule(Seconds dt) {
   expects(dt > 0.0, "Scheduler::schedule: dt must be > 0");
 
   sinceBalance_ += dt;
@@ -151,46 +169,44 @@ Dispatch Scheduler::schedule(Seconds dt) {
     sinceBalance_ = 0.0;
   }
 
-  Dispatch dispatch;
-  dispatch.running.assign(config_.coreCount, std::nullopt);
-  dispatch.waiting.assign(config_.coreCount, 0);
+  std::fill(dispatch_.waiting.begin(), dispatch_.waiting.end(), 0);
+  std::fill(runners_.begin(), runners_.end(), nullptr);
 
-  // Demote last tick's runners back to runnable before re-picking.
-  for (auto& [id, t] : threads_) {
-    if (t.state == ThreadState::Running) t.state = ThreadState::Runnable;
-  }
-
-  // Pick, per core, the runnable thread with the smallest vruntime.
-  for (auto& [id, t] : threads_) {
-    if (t.state != ThreadState::Runnable) continue;
-    const auto core = static_cast<std::size_t>(t.core);
-    const auto& incumbent = dispatch.running[core];
-    if (!incumbent || threads_.at(*incumbent).vruntime > t.vruntime) {
-      if (incumbent) ++dispatch.waiting[core];
-      dispatch.running[core] = id;
+  // One pass in dispatch order: demote last tick's runner back to runnable,
+  // tick down its migration cooldown, and pick, per core, the runnable
+  // thread with the smallest vruntime (the first one met wins a tie).
+  for (ThreadInfo* t : order_) {
+    if (t->state == ThreadState::Running) t->state = ThreadState::Runnable;
+    t->migrationCooldown = std::max(0.0, t->migrationCooldown - dt);
+    if (t->state != ThreadState::Runnable) continue;
+    const auto core = static_cast<std::size_t>(t->core);
+    ThreadInfo*& incumbent = runners_[core];
+    if (incumbent == nullptr || incumbent->vruntime > t->vruntime) {
+      if (incumbent != nullptr) ++dispatch_.waiting[core];
+      incumbent = t;
     } else {
-      ++dispatch.waiting[core];
+      ++dispatch_.waiting[core];
     }
   }
 
-  // Charge the chosen threads and tick down migration cooldowns.
+  // Charge the chosen threads.
   for (std::size_t core = 0; core < config_.coreCount; ++core) {
-    if (const auto& chosen = dispatch.running[core]) {
-      ThreadInfo& t = threads_.at(*chosen);
-      t.state = ThreadState::Running;
-      t.vruntime += dt / t.weight;  // heavier threads accrue vruntime slower
-      t.cpuTime += dt;
-    }
+    ThreadInfo* t = runners_[core];
+    dispatch_.running[core] = t != nullptr ? std::optional<ThreadId>(t->id) : std::nullopt;
+    if (t == nullptr) continue;
+    t->state = ThreadState::Running;
+    t->vruntime += dt / t->weight;  // heavier threads accrue vruntime slower
+    t->cpuTime += dt;
   }
-  for (auto& [id, t] : threads_) {
-    t.migrationCooldown = std::max(0.0, t.migrationCooldown - dt);
-  }
-  return dispatch;
+  return dispatch_;
 }
 
-double Scheduler::speedFactor(ThreadId id) const {
-  const ThreadInfo& t = thread(id);
-  return t.migrationCooldown > 0.0 ? config_.migrationSpeedFactor : 1.0;
+double Scheduler::speedFactor(ThreadId id) const { return speedOf(thread(id)); }
+
+double Scheduler::coreSpeed(std::size_t core) const {
+  expects(core < config_.coreCount, "Scheduler::coreSpeed: core beyond coreCount");
+  const ThreadInfo* t = runners_[core];
+  return t != nullptr ? speedOf(*t) : 1.0;
 }
 
 const ThreadInfo& Scheduler::thread(ThreadId id) const {
@@ -234,11 +250,11 @@ void Scheduler::balanceNow() {
     // Move the migratable thread with the largest vruntime (it has had the
     // most service, so moving it is cheapest in fairness terms).
     ThreadInfo* candidate = nullptr;
-    for (auto& [id, t] : threads_) {
-      if (t.core != busiest) continue;
-      if (t.state != ThreadState::Runnable && t.state != ThreadState::Running) continue;
-      if (!t.affinity.allows(idlest)) continue;
-      if (candidate == nullptr || t.vruntime > candidate->vruntime) candidate = &t;
+    for (ThreadInfo* t : order_) {
+      if (t->core != busiest) continue;
+      if (t->state != ThreadState::Runnable && t->state != ThreadState::Running) continue;
+      if (!t->affinity.allows(idlest)) continue;
+      if (candidate == nullptr || t->vruntime > candidate->vruntime) candidate = t;
     }
     if (candidate == nullptr) return;
     migrate(*candidate, idlest);
@@ -253,10 +269,10 @@ ThreadInfo& Scheduler::mutableThread(ThreadId id) {
 
 double Scheduler::runnableLoad(CoreId core) const {
   double load = 0.0;
-  for (const auto& [id, t] : threads_) {
-    if (t.core == core &&
-        (t.state == ThreadState::Runnable || t.state == ThreadState::Running)) {
-      load += t.weight;
+  for (const ThreadInfo* t : order_) {
+    if (t->core == core &&
+        (t->state == ThreadState::Runnable || t->state == ThreadState::Running)) {
+      load += t->weight;
     }
   }
   return load;

@@ -31,7 +31,9 @@ struct SchedulerConfig {
   double migrationSpeedFactor = 0.6;   ///< speed multiplier while cooling down
 };
 
-/// What ran on each core during the last schedule() call.
+/// What ran on each core during the last schedule() call. The scheduler owns
+/// it and refills it in place on every schedule(), so a tick allocates
+/// nothing.
 struct Dispatch {
   /// One entry per core: the thread chosen for this tick, if any.
   std::vector<std::optional<ThreadId>> running;
@@ -39,9 +41,21 @@ struct Dispatch {
   std::vector<std::size_t> waiting;
 };
 
+/// Dispatch order: each tick, every core runs its runnable thread with the
+/// smallest vruntime. Equal-vruntime ties (common: a new thread starts at its
+/// queue's max vruntime) go to the thread met first in the scheduler's
+/// iteration order, which is the iteration order of its std::unordered_map
+/// thread table. The scheduler iterates a cached copy of that order, rebuilt
+/// by addThread, removeThread and clear, so the hot path neither walks hash
+/// buckets nor looks threads up by id (tests/sched/dispatch_order_test.cpp
+/// pins the resulting pick sequence).
 class Scheduler {
  public:
   explicit Scheduler(SchedulerConfig config);
+  /// Not copyable: the cached order and per-core runners point into the
+  /// thread table.
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
 
   /// Registers a thread; it starts Runnable on the least-loaded allowed core.
   /// Thread ids must be unique and the mask must allow at least one core.
@@ -80,12 +94,16 @@ class Scheduler {
 
   /// Advances scheduling state by one tick: picks, per core, the runnable
   /// thread with the smallest vruntime; charges vruntime and cpu time; runs
-  /// the load balancer when its interval elapses. Returns what ran where.
-  [[nodiscard]] Dispatch schedule(Seconds dt);
+  /// the load balancer when its interval elapses. Returns what ran where;
+  /// the reference stays valid until the next schedule() call.
+  [[nodiscard]] const Dispatch& schedule(Seconds dt);
 
   /// Effective execution speed multiplier for a thread (1.0 normally, reduced
   /// during the post-migration cache-warmth penalty window).
   [[nodiscard]] double speedFactor(ThreadId id) const;
+  /// speedFactor() of the thread the last schedule() ran on `core`, without
+  /// an id lookup; 1.0 for a core that ran nothing.
+  [[nodiscard]] double coreSpeed(std::size_t core) const;
 
   [[nodiscard]] const ThreadInfo& thread(ThreadId id) const;
   [[nodiscard]] std::vector<ThreadId> threadsOnCore(CoreId core) const;
@@ -98,6 +116,12 @@ class Scheduler {
 
  private:
   ThreadInfo& mutableThread(ThreadId id);
+  /// Re-reads the thread table's iteration order into order_; called after
+  /// every insertion or erasure.
+  void rebuildOrder();
+  [[nodiscard]] double speedOf(const ThreadInfo& t) const noexcept {
+    return t.migrationCooldown > 0.0 ? config_.migrationSpeedFactor : 1.0;
+  }
   [[nodiscard]] double runnableLoad(CoreId core) const;
   [[nodiscard]] bool anyOnlineAllowed(const AffinityMask& mask) const;
   [[nodiscard]] CoreId leastLoadedAllowed(const AffinityMask& mask) const;
@@ -105,6 +129,11 @@ class Scheduler {
 
   SchedulerConfig config_;
   std::unordered_map<ThreadId, ThreadInfo> threads_;
+  /// threads_ in its iteration order (node pointers survive rehashes).
+  std::vector<ThreadInfo*> order_;
+  Dispatch dispatch_;
+  /// Per core, the thread dispatch_ ran there (nullptr when idle).
+  std::vector<ThreadInfo*> runners_;
   /// Online flags, one per core; empty means "all online" (the common case
   /// never allocates, keeping the hotplug-free path identical to before).
   std::vector<char> online_;

@@ -148,11 +148,24 @@ void WorkloadDriver::startNextApp() {
 
 void WorkloadDriver::recordIterationSamples() {
   if (current_ == nullptr) return;
-  throughputSamples_.emplace_back(machine_.now(), current_->iterationsCompleted());
+  throughputSamples_.push_back({machine_.now(), current_->iterationsCompleted()});
   const Seconds cutoff = machine_.now() - throughputWindow_;
   while (throughputSamples_.size() > 2 && throughputSamples_.front().first < cutoff) {
     throughputSamples_.pop_front();
   }
+}
+
+void WorkloadDriver::SampleRing::push_back(const Sample& sample) {
+  if (count_ == slots_.size()) {
+    std::vector<Sample> grown(std::max<std::size_t>(64, 2 * slots_.size()));
+    for (std::size_t i = 0; i < count_; ++i) {
+      grown[i] = slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    slots_.swap(grown);
+    head_ = 0;
+  }
+  slots_[(head_ + count_) & (slots_.size() - 1)] = sample;
+  ++count_;
 }
 
 std::vector<AffinityPattern> standardPatterns(std::size_t coreCount) {

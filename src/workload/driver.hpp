@@ -4,11 +4,11 @@
 // reward function consumes.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "platform/machine.hpp"
@@ -91,8 +91,32 @@ class WorkloadDriver final : public WorkloadControl {
   bool switchedFlag_ = false;
   bool firstAppStarted_ = false;
 
-  /// (time, cumulative iterations) samples for windowed throughput.
-  std::deque<std::pair<Seconds, int>> throughputSamples_;
+  /// FIFO of (time, cumulative iterations) samples in a ring whose capacity
+  /// doubles, keeping a power of two, only when it is full. It settles at
+  /// one throughput window of ticks (the memory a std::deque would hold),
+  /// after which pushing and popping a sample per tick allocates nothing.
+  class SampleRing {
+   public:
+    using Sample = std::pair<Seconds, int>;
+    [[nodiscard]] std::size_t size() const noexcept { return count_; }
+    [[nodiscard]] const Sample& front() const { return slots_[head_]; }
+    [[nodiscard]] const Sample& back() const {
+      return slots_[(head_ + count_ - 1) & (slots_.size() - 1)];
+    }
+    void push_back(const Sample& sample);
+    void pop_front() noexcept {
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --count_;
+    }
+    void clear() noexcept { head_ = count_ = 0; }
+
+   private:
+    std::vector<Sample> slots_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+  };
+
+  SampleRing throughputSamples_;
   Seconds throughputWindow_ = 20.0;
 };
 

@@ -51,6 +51,25 @@ TEST(BenchJsonTest, DefaultMetaMarksSerialSingleJob) {
   EXPECT_NE(json.find("\"speedup_vs_serial\":1"), std::string::npos) << json;
 }
 
+TEST(BenchJsonTest, UnmeasuredMultiLaneSpeedupIsOmitted) {
+  // A parallel bench that did not measure a serial baseline (e.g. the fleet
+  // service) must not report the serial default.
+  TextTable table({"k"});
+  table.row().cell("v");
+  ReportMeta meta;
+  meta.wallMs = 3800.0;
+  meta.jobs = 4;
+  const std::string path = ::testing::TempDir() + "bench_json_unmeasured.json";
+  writeJsonReport(table, "unit_unmeasured", path, meta);
+  const std::string json = slurp(path);
+  EXPECT_NE(json.find("\"jobs\":4"), std::string::npos) << json;
+  EXPECT_EQ(json.find("speedup_vs_serial"), std::string::npos) << json;
+
+  meta.speedup = 2.7;
+  writeJsonReport(table, "unit_measured", path, meta);
+  EXPECT_NE(slurp(path).find("\"speedup_vs_serial\":2.7"), std::string::npos);
+}
+
 TEST(BenchJsonTest, MetaOfMirrorsSweepResult) {
   exec::SweepResult sweep;
   sweep.wallMs = 100.0;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "power/vf_table.hpp"
 
 namespace rltherm::platform {
 namespace {
@@ -72,6 +77,54 @@ TEST(PerfCountersTest, ResetClears) {
   counters.reset();
   EXPECT_EQ(counters.sample().instructions, 0u);
   EXPECT_EQ(counters.sample().migrations, 0u);
+}
+
+TEST(PerfCountersTest, TruncatingDrainMatchesFloorOracle) {
+  // recordExecution drains each fractional carry by integer truncation; the
+  // oracle below is the std::floor formulation it replaced. Over seeded
+  // executions at every P-state, random tick lengths and speeds, and
+  // migration cooldowns, all four counters must agree after every call.
+  const PerfCounterConfig config;
+  PerfCounters counters(config);
+  struct Oracle {
+    double cycleCarry = 0.0, instrCarry = 0.0, missCarry = 0.0, faultCarry = 0.0;
+    PerfCounterSample sample;
+  } oracle;
+  const auto drain = [](double& carry, std::uint64_t& counter) {
+    const double whole = std::floor(carry);
+    counter += static_cast<std::uint64_t>(whole);
+    carry -= whole;
+  };
+  const power::VfTable table = power::VfTable::defaultQuadCore();
+  Rng rng(20140601);
+  for (int i = 0; i < 200000; ++i) {
+    const Hertz f = table.point(rng.uniformInt(table.size())).frequency;
+    const Seconds dt = rng.bernoulli(0.5) ? 0.01 : rng.uniform(1e-6, 0.05);
+    const bool coolingDown = rng.bernoulli(0.3);
+    const double speed = coolingDown ? 0.6 : (rng.bernoulli(0.8) ? 1.0 : rng.uniform(0.05, 1.0));
+    counters.recordExecution(f, dt, speed, coolingDown);
+
+    const double cycles = f * dt;
+    const double instructions = cycles * config.baseIpc * speed;
+    oracle.cycleCarry += cycles;
+    oracle.instrCarry += instructions;
+    const double missRate = config.cacheMissPerInstruction *
+                            (coolingDown ? config.migrationMissMultiplier : 1.0);
+    const double faultRate = config.pageFaultPerInstruction *
+                             (coolingDown ? config.migrationFaultMultiplier : 1.0);
+    oracle.missCarry += instructions * missRate;
+    oracle.faultCarry += instructions * faultRate;
+    drain(oracle.cycleCarry, oracle.sample.cycles);
+    drain(oracle.instrCarry, oracle.sample.instructions);
+    drain(oracle.missCarry, oracle.sample.cacheMisses);
+    drain(oracle.faultCarry, oracle.sample.pageFaults);
+
+    const PerfCounterSample& got = counters.sample();
+    ASSERT_EQ(got.cycles, oracle.sample.cycles) << "execution " << i;
+    ASSERT_EQ(got.instructions, oracle.sample.instructions) << "execution " << i;
+    ASSERT_EQ(got.cacheMisses, oracle.sample.cacheMisses) << "execution " << i;
+    ASSERT_EQ(got.pageFaults, oracle.sample.pageFaults) << "execution " << i;
+  }
 }
 
 TEST(PerfCountersTest, InvalidInputsRejected) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
+#include "power/vf_table.hpp"
 
 namespace rltherm::power {
 namespace {
@@ -82,6 +84,28 @@ TEST(LeakagePowerTest, InvalidInputsRejected) {
   EXPECT_THROW((void)model.power(0.0, 25.0), PreconditionError);
   EXPECT_THROW(LeakagePowerModel(LeakagePowerConfig{.nominalLeakage = -1.0}),
                PreconditionError);
+}
+
+TEST(LeakagePowerTest, PrecomputedVoltageScaleIsBitIdentical) {
+  // The machine computes voltageScale() once per P-state and calls
+  // powerScaled() every tick; both must reproduce power(), and the original
+  // single-expression formula, bit for bit.
+  const LeakagePowerModel model;
+  const LeakagePowerConfig& c = model.config();
+  const auto sameBits = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  const VfTable table = VfTable::defaultQuadCore();
+  for (const OperatingPoint& op : table.points()) {
+    const double scale = model.voltageScale(op.voltage);
+    for (Celsius t = -10.0; t <= 120.0; t += 0.37) {
+      const Watts direct = model.power(op.voltage, t);
+      const Watts oracle = c.nominalLeakage *
+                           std::pow(op.voltage / c.referenceVoltage, c.voltageExponent) *
+                           std::exp(c.tempSensitivity * (t - c.referenceTemp));
+      EXPECT_TRUE(sameBits(model.powerScaled(scale, t), direct))
+          << "V=" << op.voltage << " T=" << t;
+      EXPECT_TRUE(sameBits(direct, oracle)) << "V=" << op.voltage << " T=" << t;
+    }
+  }
 }
 
 class LeakageMonotonicity : public ::testing::TestWithParam<double> {};
