@@ -36,29 +36,35 @@
 #include "sched/scheduler.hpp"
 #include "thermal/expop_cache.hpp"
 #include "thermal/grid_model.hpp"
-#include "thermal/quadcore.hpp"
 
 namespace {
 
 using namespace rltherm;
 
+/// The default lumped quad-core package: one cell per core, 6 nodes.
+thermal::GridPackage lumpedQuadCore() { return thermal::GridPackage({}, 4, 1); }
+
+/// The 64-cell die (8x8 cells + spreader + sink = 66 nodes) every grid64
+/// kernel shares.
+thermal::GridPackage grid64() { return thermal::GridPackage({}, 4, 4); }
+
 void BM_ThermalStep(benchmark::State& state) {
-  thermal::QuadCorePackage pkg = thermal::buildQuadCorePackage({});
+  thermal::GridPackage pkg = lumpedQuadCore();
   pkg.prepare(0.01);
   const std::vector<Watts> power = {8.0, 2.0, 5.0, 1.0};
   for (auto _ : state) {
-    pkg.network.step(power);
-    benchmark::DoNotOptimize(pkg.network.temperatures().data());
+    pkg.network().step(power);
+    benchmark::DoNotOptimize(pkg.network().temperatures().data());
   }
 }
 BENCHMARK(BM_ThermalStep);
 
 void BM_ThermalStepRk4(benchmark::State& state) {
-  thermal::QuadCorePackage pkg = thermal::buildQuadCorePackage({});
+  thermal::GridPackage pkg = lumpedQuadCore();
   const std::vector<Watts> power = pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
   for (auto _ : state) {
-    pkg.network.stepRk4(power, 0.01);
-    benchmark::DoNotOptimize(pkg.network.temperatures().data());
+    pkg.network().stepRk4(power, 0.01);
+    benchmark::DoNotOptimize(pkg.network().temperatures().data());
   }
 }
 BENCHMARK(BM_ThermalStepRk4);
@@ -190,9 +196,7 @@ void BM_MachineTick(benchmark::State& state) {
 BENCHMARK(BM_MachineTick);
 
 void BM_GridThermalStep(benchmark::State& state) {
-  thermal::GridThermalConfig config;
-  config.cellsPerCoreSide = static_cast<std::size_t>(state.range(0));
-  thermal::GridPackage pkg(config);
+  thermal::GridPackage pkg({}, 4, static_cast<std::size_t>(state.range(0)));
   pkg.prepare(0.01);
   const std::vector<Watts> power = {8.0, 2.0, 5.0, 1.0};
   for (auto _ : state) {
@@ -206,9 +210,7 @@ void BM_RcPrepareGrid64(benchmark::State& state) {
   // prepare() throughput on the 66-node grid: range(0)==0 benches the cold
   // O(n^3) build (cache cleared every iteration), 1 the warm cache-hit path.
   const bool warm = state.range(0) == 1;
-  thermal::GridThermalConfig config;
-  config.cellsPerCoreSide = 4;
-  thermal::GridPackage pkg(config);
+  thermal::GridPackage pkg = grid64();
   if (warm) pkg.prepare(0.01);
   for (auto _ : state) {
     if (!warm) thermal::ExpOperatorCache::instance().clear();
@@ -247,14 +249,6 @@ struct JsonKernel {
   std::function<double()> run;
 };
 
-/// The 64-cell die (8x8 cells + spreader + sink = 66 nodes) every grid64
-/// kernel shares.
-thermal::GridThermalConfig grid64Config() {
-  thermal::GridThermalConfig config;
-  config.cellsPerCoreSide = 4;
-  return config;
-}
-
 /// Per-core power that changes on every tick the way the closed loop's
 /// does: a fixed dynamic level plus leakage that follows each core's mean
 /// cell temperature.
@@ -270,8 +264,7 @@ void leakyCorePower(const thermal::GridPackage& pkg, std::vector<Watts>& power) 
 /// h = 0.01 s, u = P + G_amb T_amb: the reference the packed kernel is
 /// measured against.
 struct DenseStep {
-  explicit DenseStep(const thermal::GridThermalConfig& config) {
-    const thermal::GridPackage pkg(config);
+  explicit DenseStep(const thermal::GridPackage& pkg) {
     const thermal::RcNetwork& net = pkg.network();
     const std::size_t n = net.nodeCount();
     Matrix a(n, n);
@@ -299,19 +292,17 @@ std::vector<JsonKernel> jsonKernels() {
   // The quad-core RC step on the plant's per-core input path: the
   // per-10ms-tick cost. 20k steps x 0.01 s = 200 simulated seconds.
   kernels.push_back({"rc_step_quadcore", 20000, [] {
-    thermal::QuadCorePackage pkg = thermal::buildQuadCorePackage({});
+    thermal::GridPackage pkg = lumpedQuadCore();
     pkg.prepare(0.01);
     const std::vector<Watts> power = {8.0, 2.0, 5.0, 1.0};
-    for (int i = 0; i < 20000; ++i) pkg.network.step(power);
+    for (int i = 0; i < 20000; ++i) pkg.network().step(power);
     return 20000 * 0.01;
   }});
 
   // The fine-grid RC step (the many-core scale-up direction): fewer steps,
   // bigger matrix.
   kernels.push_back({"rc_step_grid2", 5000, [] {
-    thermal::GridThermalConfig config;
-    config.cellsPerCoreSide = 2;
-    thermal::GridPackage pkg(config);
+    thermal::GridPackage pkg({}, 4, 2);
     pkg.prepare(0.01);
     const std::vector<Watts> power = {8.0, 2.0, 5.0, 1.0};
     for (int i = 0; i < 5000; ++i) pkg.network().step(power);
@@ -324,7 +315,7 @@ std::vector<JsonKernel> jsonKernels() {
   // Same grid, same input sequence, same 5000 steps — the same-run pair
   // behind the step-kernel speedup gate in scripts/check.sh.
   kernels.push_back({"rc_step_grid64_leaky", 5000, [] {
-    thermal::GridPackage pkg(grid64Config());
+    thermal::GridPackage pkg = grid64();
     pkg.prepare(0.01);
     std::vector<Watts> power(pkg.coreCount());
     for (int i = 0; i < 5000; ++i) {
@@ -335,8 +326,8 @@ std::vector<JsonKernel> jsonKernels() {
   }});
 
   kernels.push_back({"rc_step_grid64_reference", 5000,
-                     [reference = std::make_shared<const DenseStep>(grid64Config())] {
-    thermal::GridPackage pkg(grid64Config());
+                     [reference = std::make_shared<const DenseStep>(grid64())] {
+    thermal::GridPackage pkg = grid64();
     const std::size_t n = pkg.network().nodeCount();
     std::vector<double> temps(pkg.network().temperatures().begin(),
                               pkg.network().temperatures().end());
@@ -347,7 +338,7 @@ std::vector<JsonKernel> jsonKernels() {
     for (int step = 0; step < 5000; ++step) {
       leakyCorePower(pkg, power);
       for (std::size_t core = 0; core < power.size(); ++core) {
-        const std::vector<std::size_t>& cells = pkg.coreCells(core);
+        const std::span<const std::size_t> cells = pkg.coreCells(core);
         const double perCell = power[core] / static_cast<double>(cells.size());
         for (const std::size_t cell : cells) input[cell] = perCell;
       }
@@ -364,7 +355,7 @@ std::vector<JsonKernel> jsonKernels() {
   // fingerprint lookup path an identical machine pays when the cache holds
   // the entry. The gap between the two is the cache's amortization win.
   kernels.push_back({"rc_prepare_grid64_cold", 10, [] {
-    thermal::GridPackage pkg(grid64Config());
+    thermal::GridPackage pkg = grid64();
     for (int i = 0; i < 10; ++i) {
       thermal::ExpOperatorCache::instance().clear();
       pkg.prepare(0.01);
@@ -375,7 +366,7 @@ std::vector<JsonKernel> jsonKernels() {
 
   kernels.push_back({"rc_prepare_grid64_warm", 200, [] {
     thermal::ExpOperatorCache::instance().clear();
-    thermal::GridPackage pkg(grid64Config());
+    thermal::GridPackage pkg = grid64();
     pkg.prepare(0.01);  // cold: populates the entry the loop below hits
     for (int i = 0; i < 200; ++i) pkg.prepare(0.01);
     return 0.0;

@@ -1,30 +1,50 @@
 #include "core/config_io.hpp"
 
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace rltherm::core {
+
+namespace {
+
+/// A count key, or `fallback` when absent. Rejects values outside
+/// [lo, hi] before any conversion to std::size_t, naming section and key.
+std::size_t getCount(const ConfigFile& config, const std::string& section,
+                     const std::string& key, std::size_t fallback, long long lo,
+                     long long hi = std::numeric_limits<long long>::max()) {
+  const long long value = config.getInt(section, key, static_cast<long long>(fallback));
+  if (value < lo || value > hi) {
+    const std::string range = hi == std::numeric_limits<long long>::max()
+                                  ? ">= " + std::to_string(lo)
+                                  : "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    throw PreconditionError("config [" + section + "] " + key + ": " + std::to_string(value) +
+                            " must be " + range);
+  }
+  return static_cast<std::size_t>(value);
+}
+
+}  // namespace
 
 RunnerConfig runnerConfigFrom(const ConfigFile& config) {
   RunnerConfig runner;
 
   platform::MachineConfig& machine = runner.machine;
-  machine.coreCount =
-      static_cast<std::size_t>(config.getInt("machine", "cores",
-                                             static_cast<long long>(machine.coreCount)));
+  machine.coreCount = getCount(config, "machine", "cores", machine.coreCount, 1);
   machine.tick = config.getDouble("machine", "tick", machine.tick);
   machine.governorPeriod =
       config.getDouble("machine", "governor_period", machine.governorPeriod);
   machine.warmStart = config.getBool("machine", "warm_start", machine.warmStart);
-  machine.thermalCellsPerCoreSide = static_cast<std::size_t>(
-      config.getInt("machine", "thermal_cells",
-                    static_cast<long long>(machine.thermalCellsPerCoreSide)));
+  machine.thermalCellsPerCoreSide =
+      getCount(config, "machine", "thermal_cells", machine.thermalCellsPerCoreSide, 1);
   if (config.getBool("machine", "big_little", false)) {
     machine.coreTypes = platform::bigLittleCoreTypes();
     expects(machine.coreCount == machine.coreTypes.size(),
             "big_little requires cores = 4");
   }
 
-  thermal::QuadCoreThermalConfig& t = machine.thermal;
+  thermal::GridThermalConfig& t = machine.thermal;
   t.ambient = config.getDouble("thermal", "ambient", t.ambient);
   t.coreCapacitance = config.getDouble("thermal", "core_capacitance", t.coreCapacitance);
   t.junctionToSpreader =
@@ -55,10 +75,9 @@ ThermalManagerConfig managerConfigFrom(const ConfigFile& config) {
       config.getDouble("manager", "sampling_interval", manager.samplingInterval);
   manager.decisionEpoch =
       config.getDouble("manager", "decision_epoch", manager.decisionEpoch);
-  manager.stressBins = static_cast<std::size_t>(config.getInt(
-      "manager", "stress_bins", static_cast<long long>(manager.stressBins)));
-  manager.agingBins = static_cast<std::size_t>(
-      config.getInt("manager", "aging_bins", static_cast<long long>(manager.agingBins)));
+  // The bin range FleetService::submit enforces.
+  manager.stressBins = getCount(config, "manager", "stress_bins", manager.stressBins, 2, 64);
+  manager.agingBins = getCount(config, "manager", "aging_bins", manager.agingBins, 2, 64);
   manager.gamma = config.getDouble("manager", "gamma", manager.gamma);
   manager.adaptiveSampling =
       config.getBool("manager", "adaptive_sampling", manager.adaptiveSampling);

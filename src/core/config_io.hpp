@@ -14,6 +14,10 @@
 //               gamma, adaptive_sampling, decision_overhead, seed,
 //               intra_threshold_aging, inter_threshold_aging
 //   [runner]    trace_interval, max_sim_time, warmup, cooldown
+//
+// Counts are range-checked on load (PreconditionError naming section and
+// key): cores >= 1, thermal_cells >= 1, stress_bins and aging_bins in
+// [2, 64].
 #pragma once
 
 #include "common/config.hpp"

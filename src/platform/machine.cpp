@@ -6,103 +6,6 @@
 
 namespace rltherm::platform {
 
-/// Abstraction over the lumped / grid thermal models: per-core mean and
-/// peak temperatures, one exact step per tick, and a steady-state settle
-/// used by the warm start.
-class ThermalPlant {
- public:
-  virtual ~ThermalPlant() = default;
-  virtual void prepare(Seconds stepSize) = 0;
-  virtual void step(std::span<const Watts> corePower) = 0;
-  /// Set every node to the steady state under the given per-core power.
-  virtual void settleTo(std::span<const Watts> corePower) = 0;
-  [[nodiscard]] virtual Celsius meanTemperature(std::size_t core) const = 0;
-  [[nodiscard]] virtual Celsius peakTemperature(std::size_t core) const = 0;
-};
-
-namespace {
-
-class LumpedPlant final : public ThermalPlant {
- public:
-  explicit LumpedPlant(const thermal::QuadCoreThermalConfig& config)
-      : package_(thermal::buildQuadCorePackage(config)) {}
-
-  void prepare(Seconds stepSize) override { package_.prepare(stepSize); }
-  void step(std::span<const Watts> corePower) override {
-    package_.network.step(corePower);
-  }
-  void settleTo(std::span<const Watts> corePower) override {
-    package_.network.setTemperatures(
-        package_.network.steadyState(package_.nodePower(corePower)));
-  }
-  Celsius meanTemperature(std::size_t core) const override {
-    return package_.network.temperature(package_.coreNodes.at(core));
-  }
-  Celsius peakTemperature(std::size_t core) const override {
-    return meanTemperature(core);  // one node per core
-  }
-
- private:
-  thermal::QuadCorePackage package_;
-};
-
-class GridPlant final : public ThermalPlant {
- public:
-  GridPlant(const thermal::QuadCoreThermalConfig& config, std::size_t cellsPerSide)
-      : package_([&] {
-          thermal::GridThermalConfig grid;
-          // Map the lumped quad-core parameters onto the grid model. The
-          // grid builder only supports rectangular core layouts; coreCount
-          // is arranged as 2 columns like the lumped package.
-          grid.coreCols = 2;
-          grid.coreRows = (config.coreCount + 1) / 2;
-          grid.cellsPerCoreSide = cellsPerSide;
-          grid.ambient = config.ambient;
-          grid.coreCapacitance = config.coreCapacitance;
-          grid.junctionToSpreader = config.junctionToSpreader;
-          grid.lateralResistance = config.lateralResistance;
-          grid.spreaderCapacitance = config.spreaderCapacitance;
-          grid.sinkCapacitance = config.sinkCapacitance;
-          grid.spreaderToSink = config.spreaderToSink;
-          grid.sinkToAmbient = config.sinkToAmbient;
-          return thermal::GridPackage(grid);
-        }()),
-        coreCount_(config.coreCount) {
-    expects(package_.coreCount() == coreCount_,
-            "Grid thermal plant requires an even core count (2-column layout)");
-  }
-
-  void prepare(Seconds stepSize) override { package_.prepare(stepSize); }
-  void step(std::span<const Watts> corePower) override {
-    package_.network().step(corePower);
-  }
-  void settleTo(std::span<const Watts> corePower) override {
-    package_.network().setTemperatures(
-        package_.network().steadyState(package_.nodePower(corePower)));
-  }
-  Celsius meanTemperature(std::size_t core) const override {
-    return package_.coreMeanTemperature(core);
-  }
-  Celsius peakTemperature(std::size_t core) const override {
-    return package_.corePeakTemperature(core);
-  }
-
- private:
-  thermal::GridPackage package_;
-  std::size_t coreCount_;
-};
-
-std::unique_ptr<ThermalPlant> makePlant(const MachineConfig& config) {
-  thermal::QuadCoreThermalConfig t = config.thermal;
-  t.coreCount = config.coreCount;
-  if (config.thermalCellsPerCoreSide <= 1) {
-    return std::make_unique<LumpedPlant>(t);
-  }
-  return std::make_unique<GridPlant>(t, config.thermalCellsPerCoreSide);
-}
-
-}  // namespace
-
 std::vector<CoreTypeSpec> bigLittleCoreTypes() {
   const CoreTypeSpec big{
       .name = "big", .ipcScale = 1.0, .dynamicPowerScale = 1.0, .leakageScale = 1.0,
@@ -118,7 +21,7 @@ Machine::Machine(const MachineConfig& config)
       vfTable_(power::VfTable::defaultQuadCore()),
       dynamicModel_(config.dynamicPower),
       leakageModel_(config.leakage),
-      plant_(makePlant(config)),
+      package_(config.thermal, config.coreCount, config.thermalCellsPerCoreSide),
       sensors_(config.sensor, config.sensorSeed),
       scheduler_([&] {
         sched::SchedulerConfig s = config.sched;
@@ -138,7 +41,7 @@ Machine::Machine(const MachineConfig& config)
   }
   expects(config.throttleTemp >= 0.0 && config.throttleHysteresis > 0.0,
           "Invalid thermal-throttle configuration");
-  plant_->prepare(config.tick);
+  package_.prepare(config.tick);
   if (config.warmStart) {
     // Idle steady state: lowest operating point, no workload activity.
     // Leakage depends on temperature, so fixed-point iterate a few times.
@@ -146,11 +49,12 @@ Machine::Machine(const MachineConfig& config)
     for (int pass = 0; pass < 3; ++pass) {
       std::vector<Watts> corePower(config.coreCount);
       for (std::size_t c = 0; c < config.coreCount; ++c) {
-        const Celsius t = plant_->meanTemperature(c);
+        const Celsius t = package_.coreMeanTemperature(c);
         corePower[c] = dynamicModel_.power(idleOp, 0.0) * coreType(c).dynamicPowerScale +
                        leakageModel_.power(idleOp.voltage, t) * coreType(c).leakageScale;
       }
-      plant_->settleTo(corePower);
+      thermal::RcNetwork& network = package_.network();
+      network.setTemperatures(network.steadyState(package_.nodePower(corePower)));
     }
   }
   coreFrequency_.assign(config.coreCount, vfTable_.highest().frequency);
@@ -215,7 +119,7 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
   // band. The clamp overrides every software frequency request.
   if (config_.throttleTemp > 0.0) {
     for (std::size_t c = 0; c < config_.coreCount; ++c) {
-      const Celsius junction = plant_->peakTemperature(c);
+      const Celsius junction = package_.corePeakTemperature(c);
       if (!throttleActive_[c] && junction >= config_.throttleTemp) {
         throttleActive_[c] = true;
         ++throttleEvents_;
@@ -260,7 +164,7 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
 
     // Fused power model: dynamic + leakage for this core computed in the
     // same pass that dispatched it (no separate power loop, no per-tick
-    // allocation — the thermal plant reads corePowerScratch_ directly). The
+    // allocation — the thermal package reads corePowerScratch_ directly). The
     // leakage voltage factor comes from the per-P-state table built in the
     // constructor. An offline (retired) core is power-gated: no dynamic
     // switching and no leakage, so its node cools toward ambient.
@@ -270,7 +174,7 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
       const CoreTypeSpec& type = coreType(c);
       const Watts dyn = dynamicModel_.power(op, activity) * type.dynamicPowerScale;
       const Watts leak = leakageModel_.powerScaled(leakageVoltageScale_[point],
-                                                   plant_->meanTemperature(c)) *
+                                                   package_.coreMeanTemperature(c)) *
                          type.leakageScale;
       corePower[c] = dyn + leak;
       totalDynamic += dyn;
@@ -287,7 +191,7 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
   lastMigrations_ = migrations;
 
   // Thermal step with this tick's power map.
-  plant_->step(corePower);
+  package_.network().step(corePower);
 
   meter_.record(totalDynamic, totalStatic, dt);
   stallRemaining_ = std::max(0.0, stallRemaining_ - dt);
@@ -318,7 +222,7 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
 std::vector<Celsius> Machine::readSensors() {
   std::vector<Celsius> hottest(config_.coreCount);
   for (std::size_t c = 0; c < config_.coreCount; ++c) {
-    hottest[c] = plant_->peakTemperature(c);
+    hottest[c] = package_.corePeakTemperature(c);
   }
   return sensors_.read(hottest);
 }
@@ -326,14 +230,10 @@ std::vector<Celsius> Machine::readSensors() {
 std::vector<Celsius> Machine::trueCoreTemperatures() const {
   std::vector<Celsius> temps(config_.coreCount);
   for (std::size_t c = 0; c < config_.coreCount; ++c) {
-    temps[c] = plant_->meanTemperature(c);
+    temps[c] = package_.coreMeanTemperature(c);
   }
   return temps;
 }
-
-Machine::~Machine() = default;
-Machine::Machine(Machine&&) noexcept = default;
-Machine& Machine::operator=(Machine&&) noexcept = default;
 
 std::vector<Hertz> Machine::coreFrequencies() const { return coreFrequency_; }
 

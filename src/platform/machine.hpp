@@ -26,7 +26,6 @@
 #include "power/power_model.hpp"
 #include "power/vf_table.hpp"
 #include "sched/scheduler.hpp"
-#include "thermal/quadcore.hpp"
 #include "thermal/grid_model.hpp"
 #include "thermal/sensor.hpp"
 
@@ -65,13 +64,14 @@ struct MachineConfig {
   Celsius throttleTemp = 90.0;
   Celsius throttleHysteresis = 8.0;
 
-  thermal::QuadCoreThermalConfig thermal;  ///< coreCount is overridden
-  /// Thermal plant resolution: 1 = lumped (one RC node per core, the
-  /// default), N > 1 = HotSpot-style NxN cell grid per core. At grid
-  /// resolution the on-board sensor reads each core's HOTTEST cell, as real
-  /// per-core DTS sensors report the worst local site. Either plant folds
-  /// its core-to-node power map into the prepared RC operator, so each tick
-  /// is one exact step driven by the per-core powers (thermal/rc_network.hpp).
+  thermal::GridThermalConfig thermal;
+  /// Thermal package resolution (>= 1): each of the coreCount cores is an
+  /// N x N block of cells, laid out as thermal/grid_model.hpp describes.
+  /// 1 = lumped (one RC node per core, the default); N > 1 = HotSpot-style
+  /// grid, where the on-board sensor reads each core's HOTTEST cell, as real
+  /// per-core DTS sensors report the worst local site. The package folds its
+  /// core-to-node power map into the prepared RC operator, so each tick is
+  /// one exact step driven by the per-core powers (thermal/rc_network.hpp).
   std::size_t thermalCellsPerCoreSide = 1;
   thermal::SensorConfig sensor;
   power::DynamicPowerConfig dynamicPower;
@@ -101,16 +101,9 @@ struct TickResult {
   Watts staticPower = 0.0;
 };
 
-/// Internal abstraction over the lumped / grid thermal plant (defined in
-/// machine.cpp).
-class ThermalPlant;
-
 class Machine {
  public:
   explicit Machine(const MachineConfig& config);
-  ~Machine();
-  Machine(Machine&&) noexcept;
-  Machine& operator=(Machine&&) noexcept;
 
   /// Thread activity supplier: called once per running thread per tick with
   /// the thread id; must return switching activity in [0, 1].
@@ -220,7 +213,7 @@ class Machine {
   power::VfTable vfTable_;
   power::DynamicPowerModel dynamicModel_;
   power::LeakagePowerModel leakageModel_;
-  std::unique_ptr<ThermalPlant> plant_;
+  thermal::GridPackage package_;
   thermal::SensorBank sensors_;
   std::unique_ptr<sched::Scheduler> scheduler_;
   power::EnergyMeter meter_;
@@ -244,7 +237,7 @@ class Machine {
   Seconds stallRemaining_ = 0.0;
   Seconds now_ = 0.0;
 
-  /// Per-tick scratch (power map fed to the thermal plant, the executions
+  /// Per-tick scratch (power map fed to the thermal package, the executions
   /// TickResult views); members so tick() allocates nothing.
   std::vector<Watts> corePowerScratch_;
   std::vector<ThreadExecution> executed_;

@@ -2,46 +2,61 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
 
 namespace rltherm::thermal {
 
-GridPackage::GridPackage(const GridThermalConfig& config) : config_(config) {
-  expects(config.coreRows >= 1 && config.coreCols >= 1,
-          "GridPackage: core grid must be at least 1x1");
-  expects(config.cellsPerCoreSide >= 1, "GridPackage: cellsPerCoreSide must be >= 1");
+GridPackage::GridPackage(const GridThermalConfig& config, std::size_t coreCount,
+                         std::size_t cellsPerCoreSide)
+    : coreCount_(coreCount), side_(cellsPerCoreSide) {
+  expects(coreCount >= 1, "GridPackage requires at least one core");
+  expects(cellsPerCoreSide >= 1, "GridPackage: cellsPerCoreSide must be >= 1");
+  constexpr std::size_t kMaxCells = std::numeric_limits<std::size_t>::max();
+  expects(side_ <= kMaxCells / side_ && side_ * side_ <= kMaxCells / coreCount,
+          "GridPackage: cell count overflows");
 
+  const std::size_t cellsPerCore = side_ * side_;
   const std::size_t rows = cellRows();
   const std::size_t cols = cellCols();
-  const std::size_t cellsPerCore = config.cellsPerCoreSide * config.cellsPerCoreSide;
+  coreCells_.resize(coreCount * cellsPerCore);
 
   RcNetwork::Builder builder;
   builder.ambient(config.ambient);
 
   // Per-cell aggregates: N parallel vertical paths and N capacitance shares
   // reproduce the per-core totals.
-  const double cellCapacitance =
-      config.coreCapacitance / static_cast<double>(cellsPerCore);
-  const double cellVerticalR =
-      config.junctionToSpreader * static_cast<double>(cellsPerCore);
+  const double cellCapacitance = config.coreCapacitance / static_cast<double>(cellsPerCore);
+  const double cellVerticalR = config.junctionToSpreader * static_cast<double>(cellsPerCore);
   // Lateral conductance between neighbouring cells: the core-to-core lateral
   // resistance crosses cellsPerCoreSide series cell-to-cell hops and is fed
   // by cellsPerCoreSide parallel rows, so per-hop R = R_core_lateral.
   const double cellLateralR = config.lateralResistance;
 
-  cellNodes_.resize(rows * cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      cellNodes_[r * cols + c] = builder.addNode(NodeSpec{
-          .name = "cell_" + std::to_string(r) + "_" + std::to_string(c),
-          .kind = NodeKind::Core,
-          .capacitance = cellCapacitance,
-          .resistanceToAmbient = std::nullopt,
-      });
+  // Visits the existing cells in row-major die order with their slot in
+  // coreCells_.
+  const auto forEachCell = [&](auto&& visit) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        if (const std::size_t slot = cellSlot(r, c); slot < coreCells_.size()) {
+          visit(r, c, slot);
+        }
+      }
     }
-  }
+  };
+
+  // Node and edge order is the bit-identity contract (see the header).
+  forEachCell([&](std::size_t r, std::size_t c, std::size_t slot) {
+    coreCells_[slot] = builder.addNode(NodeSpec{
+        .name = "cell_" + std::to_string(r) + "_" + std::to_string(c),
+        .kind = NodeKind::Core,
+        .capacitance = cellCapacitance,
+        .resistanceToAmbient = std::nullopt,
+    });
+  });
   spreaderNode_ = builder.addNode(NodeSpec{
       .name = "spreader",
       .kind = NodeKind::Spreader,
@@ -55,73 +70,66 @@ GridPackage::GridPackage(const GridThermalConfig& config) : config_(config) {
       .resistanceToAmbient = config.sinkToAmbient,
   });
 
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      const std::size_t node = cellNodes_[r * cols + c];
-      builder.connect(node, spreaderNode_, cellVerticalR);
-      if (c + 1 < cols) builder.connect(node, cellNodes_[r * cols + c + 1], cellLateralR);
-      if (r + 1 < rows) builder.connect(node, cellNodes_[(r + 1) * cols + c], cellLateralR);
-    }
-  }
+  forEachCell([&](std::size_t, std::size_t, std::size_t slot) {
+    builder.connect(coreCells_[slot], spreaderNode_, cellVerticalR);
+  });
   builder.connect(spreaderNode_, sinkNode_, config.spreaderToSink);
-
-  // Core -> cell block mapping.
-  coreCells_.resize(coreCount());
-  for (std::size_t coreRow = 0; coreRow < config.coreRows; ++coreRow) {
-    for (std::size_t coreCol = 0; coreCol < config.coreCols; ++coreCol) {
-      const std::size_t core = coreRow * config.coreCols + coreCol;
-      for (std::size_t dr = 0; dr < config.cellsPerCoreSide; ++dr) {
-        for (std::size_t dc = 0; dc < config.cellsPerCoreSide; ++dc) {
-          const std::size_t r = coreRow * config.cellsPerCoreSide + dr;
-          const std::size_t c = coreCol * config.cellsPerCoreSide + dc;
-          coreCells_[core].push_back(cellNodes_[r * cols + c]);
-        }
-      }
+  forEachCell([&](std::size_t r, std::size_t c, std::size_t slot) {
+    if (const std::size_t right = cellSlot(r, c + 1); right < coreCells_.size()) {
+      builder.connect(coreCells_[slot], coreCells_[right], cellLateralR);
     }
-  }
+    if (const std::size_t below = cellSlot(r + 1, c); below < coreCells_.size()) {
+      builder.connect(coreCells_[slot], coreCells_[below], cellLateralR);
+    }
+  });
 
   network_ = builder.build();
-  inputMap_ = Matrix(network_.nodeCount(), coreCount());
-  for (std::size_t core = 0; core < coreCells_.size(); ++core) {
-    for (const std::size_t node : coreCells_[core]) {
-      inputMap_(node, core) = 1.0 / static_cast<double>(cellsPerCore);
-    }
+  inputMap_ = Matrix(network_.nodeCount(), coreCount);
+  const double weight = 1.0 / static_cast<double>(cellsPerCore);
+  for (std::size_t slot = 0; slot < coreCells_.size(); ++slot) {
+    inputMap_(coreCells_[slot], slot / cellsPerCore) = weight;
   }
+}
+
+std::size_t GridPackage::cellSlot(std::size_t row, std::size_t col) const noexcept {
+  if (row >= cellRows() || col >= cellCols()) return coreCells_.size();
+  const std::size_t core = row / side_ * (cellCols() / side_) + col / side_;
+  if (core >= coreCount_) return coreCells_.size();
+  return (core * side_ + row % side_) * side_ + col % side_;
 }
 
 std::size_t GridPackage::cellNode(std::size_t row, std::size_t col) const {
-  expects(row < cellRows() && col < cellCols(), "cellNode: out of range");
-  return cellNodes_[row * cellCols() + col];
+  const std::size_t slot = cellSlot(row, col);
+  expects(slot < coreCells_.size(), "cellNode: no cell at (row, col)");
+  return coreCells_[slot];
 }
 
-const std::vector<std::size_t>& GridPackage::coreCells(std::size_t core) const {
-  expects(core < coreCells_.size(), "coreCells: core out of range");
-  return coreCells_[core];
+std::span<const std::size_t> GridPackage::coreCells(std::size_t core) const {
+  expects(core < coreCount_, "coreCells: core out of range");
+  const std::size_t cellsPerCore = side_ * side_;
+  return std::span<const std::size_t>(coreCells_).subspan(core * cellsPerCore, cellsPerCore);
 }
 
 std::vector<Watts> GridPackage::nodePower(std::span<const Watts> corePower) const {
-  expects(corePower.size() == coreCount(), "nodePower: per-core power size mismatch");
+  expects(corePower.size() == coreCount_, "nodePower: per-core power size mismatch");
   return inputMap_ * corePower;
 }
 
 Celsius GridPackage::coreMeanTemperature(std::size_t core) const {
-  const std::vector<std::size_t>& cells = coreCells(core);
-  RLTHERM_EXPECT(!cells.empty(),
-                 "coreMeanTemperature: core must map to at least one cell");
-  double sum = 0.0;
-  for (const std::size_t node : cells) sum += network_.temperature(node);
+  const std::span<const std::size_t> cells = coreCells(core);
+  RLTHERM_EXPECT(!cells.empty(), "coreMeanTemperature: core must map to at least one cell");
+  Celsius sum = network_.temperature(cells.front());
+  for (const std::size_t node : cells.subspan(1)) sum += network_.temperature(node);
   const Celsius mean = sum / static_cast<double>(cells.size());
-  RLTHERM_ENSURE(std::isfinite(mean),
-                 "coreMeanTemperature: mean must be finite");
+  RLTHERM_ENSURE(std::isfinite(mean), "coreMeanTemperature: mean must be finite");
   return mean;
 }
 
 Celsius GridPackage::corePeakTemperature(std::size_t core) const {
-  const std::vector<std::size_t>& cells = coreCells(core);
-  RLTHERM_EXPECT(!cells.empty(),
-                 "corePeakTemperature: core must map to at least one cell");
+  const std::span<const std::size_t> cells = coreCells(core);
+  RLTHERM_EXPECT(!cells.empty(), "corePeakTemperature: core must map to at least one cell");
   Celsius peak = network_.temperature(cells.front());
-  for (const std::size_t node : cells) {
+  for (const std::size_t node : cells.subspan(1)) {
     peak = std::max(peak, network_.temperature(node));
   }
   return peak;

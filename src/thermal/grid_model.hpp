@@ -1,19 +1,33 @@
-// Finer-grained die thermal model (HotSpot-class grid discretization).
+// The package thermal model: per-core junction cells, a shared heat
+// spreader and a heat sink (HotSpot-class grid discretization), standing in
+// for the paper's Intel quad-core platform.
 //
-// The lumped quad-core package (quadcore.hpp) models one RC node per core.
-// This module discretizes the die into an R x C grid of cells, maps each
-// core onto a rectangular block of cells, and connects every cell vertically
-// to the shared spreader and laterally to its grid neighbours. The result is
-// the same RcNetwork machinery (exact matrix-exponential stepping, LU
-// steady-state) at a configurable resolution, which:
-//  - resolves within-core hot spots (the hottest cell of a loaded core sits
-//    above the lumped estimate),
-//  - converges to the lumped model as the grid coarsens (validated in the
-//    tests), and
-//  - demonstrates the simulator scales beyond one-node-per-core abstractions
-//    (the related-work concern about RC model solvability).
+// Cores sit row-major in 2 columns (the last row may hold one core); each
+// core is an N x N block of cells, and a cell exists only under a core.
+// Every cell connects vertically to the spreader and laterally to its right
+// and lower neighbours; the spreader connects to the sink, which convects
+// to ambient:
+//
+//     core0 -- core1        each cell --(R_v)--> spreader
+//       |        |          spreader --(R_ss)--> sink
+//     core2 -- core3        sink --(R_sa)--> ambient
+//
+// With N = 1 (one cell per core, the default plant) this is the compact
+// lumped package. The builder's order is part of the contract, because the
+// conductance sums depend on it: nodes are the cells in row-major die order,
+// then the spreader, then the sink; edges are every cell's vertical edge,
+// then spreader -> sink, then each cell's right and lower lateral edges in
+// row-major order. That order reproduces the lumped network bit for bit.
+// Finer grids resolve within-core hot spots (the hottest cell of a loaded
+// core sits above its mean) while keeping the per-core aggregates.
+//
+// Default parameters are calibrated so that an idle chip sits ~6 C above
+// ambient and a fully loaded chip (all cores at max frequency) reaches
+// ~72 C core temperature with a core-local time constant of ~1.3 s, matching
+// the temperature ranges and multi-second cycling the paper reports.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -22,41 +36,38 @@
 
 namespace rltherm::thermal {
 
+/// Per-CORE aggregates; the builder divides them among a core's cells so
+/// that every resolution keeps the same totals.
 struct GridThermalConfig {
-  std::size_t coreRows = 2;     ///< cores arranged coreRows x coreCols
-  std::size_t coreCols = 2;
-  std::size_t cellsPerCoreSide = 2;  ///< each core is an NxN block of cells
-
   Celsius ambient = 25.0;
 
-  /// Per-CORE aggregates; divided among the core's cells so that a uniform
-  /// grid reproduces the lumped quadcore package.
-  double coreCapacitance = 0.8;       ///< J/K
-  double junctionToSpreader = 1.6;    ///< K/W vertical (whole core)
-  double lateralResistance = 3.0;     ///< K/W between adjacent cores
-
+  double coreCapacitance = 0.8;       ///< J/K per core junction
   double spreaderCapacitance = 25.0;  ///< J/K
   double sinkCapacitance = 150.0;     ///< J/K
-  double spreaderToSink = 0.25;       ///< K/W
-  double sinkToAmbient = 0.38;        ///< K/W
+
+  double junctionToSpreader = 1.6;    ///< K/W per core (R_jc)
+  double lateralResistance = 3.0;     ///< K/W between adjacent cores
+  double spreaderToSink = 0.25;       ///< K/W (R_ss)
+  double sinkToAmbient = 0.38;        ///< K/W (R_sa, convection)
 };
 
 class GridPackage {
  public:
-  explicit GridPackage(const GridThermalConfig& config);
+  /// coreCount >= 1 cores, each an N x N block of cells with
+  /// N = cellsPerCoreSide >= 1.
+  GridPackage(const GridThermalConfig& config, std::size_t coreCount,
+              std::size_t cellsPerCoreSide);
 
-  [[nodiscard]] std::size_t coreCount() const noexcept {
-    return config_.coreRows * config_.coreCols;
-  }
+  [[nodiscard]] std::size_t coreCount() const noexcept { return coreCount_; }
+  /// Bounding box of the die's cell grid (a partial last row leaves the
+  /// cells under the missing core out).
   [[nodiscard]] std::size_t cellRows() const noexcept {
-    return config_.coreRows * config_.cellsPerCoreSide;
+    return ((coreCount_ - 1) / kCoreColumns + 1) * side_;
   }
   [[nodiscard]] std::size_t cellCols() const noexcept {
-    return config_.coreCols * config_.cellsPerCoreSide;
+    return std::min(coreCount_, kCoreColumns) * side_;
   }
-  [[nodiscard]] std::size_t cellCount() const noexcept {
-    return cellRows() * cellCols();
-  }
+  [[nodiscard]] std::size_t cellCount() const noexcept { return coreCells_.size(); }
 
   [[nodiscard]] RcNetwork& network() noexcept { return network_; }
   [[nodiscard]] const RcNetwork& network() const noexcept { return network_; }
@@ -69,16 +80,18 @@ class GridPackage {
   /// one power per core.
   void prepare(Seconds stepSize) { network_.prepare(stepSize, inputMap_); }
 
-  /// Node index of the cell at (row, col) of the die grid.
+  /// Node index of the cell at (row, col) of the die grid; throws when no
+  /// core covers that cell.
   [[nodiscard]] std::size_t cellNode(std::size_t row, std::size_t col) const;
 
-  /// Indices of the cells belonging to a core.
-  [[nodiscard]] const std::vector<std::size_t>& coreCells(std::size_t core) const;
+  /// Node indices of a core's cells, row-major within its block.
+  [[nodiscard]] std::span<const std::size_t> coreCells(std::size_t core) const;
 
   /// Per-node power vector from per-core powers: inputMap() * corePower.
   [[nodiscard]] std::vector<Watts> nodePower(std::span<const Watts> corePower) const;
 
-  /// Mean and peak cell temperature of a core.
+  /// Mean and peak cell temperature of a core (the junction temperature
+  /// itself at one cell per core).
   [[nodiscard]] Celsius coreMeanTemperature(std::size_t core) const;
   [[nodiscard]] Celsius corePeakTemperature(std::size_t core) const;
 
@@ -86,10 +99,18 @@ class GridPackage {
   [[nodiscard]] std::size_t sinkNode() const noexcept { return sinkNode_; }
 
  private:
-  GridThermalConfig config_;
+  static constexpr std::size_t kCoreColumns = 2;
+
+  /// Position of cell (row, col) in coreCells_, or coreCells_.size() when
+  /// the cell lies outside the die or under no core.
+  [[nodiscard]] std::size_t cellSlot(std::size_t row, std::size_t col) const noexcept;
+
+  std::size_t coreCount_;
+  std::size_t side_;
   RcNetwork network_;
-  std::vector<std::size_t> cellNodes_;             // row-major grid
-  std::vector<std::vector<std::size_t>> coreCells_;
+  /// Cell node indices, core-major: core k's N*N cells are the stride
+  /// [k*N*N, (k+1)*N*N).
+  std::vector<std::size_t> coreCells_;
   Matrix inputMap_;
   std::size_t spreaderNode_ = 0;
   std::size_t sinkNode_ = 0;

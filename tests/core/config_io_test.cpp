@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace rltherm::core {
@@ -91,6 +93,48 @@ inter_threshold_aging = 0.2
   EXPECT_EQ(manager.seed, 99u);
   EXPECT_DOUBLE_EQ(manager.intraThresholdAging, 0.07);
   EXPECT_DOUBLE_EQ(manager.interThresholdAging, 0.2);
+}
+
+/// The PreconditionError message a config load throws, or "" if none.
+std::string rejection(const std::string& text, bool manager) {
+  try {
+    const ConfigFile config = ConfigFile::parse(text);
+    if (manager) {
+      (void)managerConfigFrom(config);
+    } else {
+      (void)runnerConfigFrom(config);
+    }
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ConfigIoTest, CoreCountBelowOneRejected) {
+  EXPECT_EQ(rejection("[machine]\ncores = -1\n", false),
+            "config [machine] cores: -1 must be >= 1");
+  EXPECT_EQ(rejection("[machine]\ncores = 0\n", false),
+            "config [machine] cores: 0 must be >= 1");
+}
+
+TEST(ConfigIoTest, NegativeThermalCellsRejected) {
+  EXPECT_EQ(rejection("[machine]\nthermal_cells = -1\n", false),
+            "config [machine] thermal_cells: -1 must be >= 1");
+}
+
+TEST(ConfigIoTest, ZeroThermalCellsRejected) {
+  // 0 once fell back to the lumped package silently; 1 is the lumped value.
+  EXPECT_EQ(rejection("[machine]\nthermal_cells = 0\n", false),
+            "config [machine] thermal_cells: 0 must be >= 1");
+  EXPECT_EQ(rejection("[machine]\nthermal_cells = 1\n", false), "");
+}
+
+TEST(ConfigIoTest, BinCountsOutsideTwoToSixtyFourRejected) {
+  EXPECT_EQ(rejection("[manager]\nstress_bins = -1\n", true),
+            "config [manager] stress_bins: -1 must be in [2, 64]");
+  EXPECT_EQ(rejection("[manager]\naging_bins = 65\n", true),
+            "config [manager] aging_bins: 65 must be in [2, 64]");
+  EXPECT_EQ(rejection("[manager]\nstress_bins = 2\naging_bins = 64\n", true), "");
 }
 
 TEST(ConfigIoTest, LoadedConfigsConstructWorkingObjects) {

@@ -193,6 +193,27 @@ TEST(GridPlantMachineTest, SensorReadsHotSpotAboveMean) {
   EXPECT_GT(machine.readSensors()[0], machine.trueCoreTemperatures()[0]);
 }
 
+TEST(GridPlantMachineTest, OddCoreCountRunsAtGridResolution) {
+  // Three cores in two columns leave the last row partial.
+  MachineConfig config;
+  config.coreCount = 3;
+  config.thermalCellsPerCoreSide = 2;
+  config.sensor.noiseSigma = 0.0;
+  config.sensor.quantizationStep = 0.0;
+  Machine machine(config);
+  for (const Celsius t : machine.trueCoreTemperatures()) {
+    EXPECT_GT(t, 27.0);
+    EXPECT_LT(t, 35.0);
+  }
+  machine.setGovernor({GovernorKind::Performance, 0.0});
+  machine.scheduler().addThread(1, sched::AffinityMask::single(2));
+  for (int i = 0; i < 500; ++i) (void)machine.tick(fullActivity);
+  const std::vector<Celsius> temps = machine.trueCoreTemperatures();
+  ASSERT_EQ(temps.size(), 3u);
+  EXPECT_GT(temps[2], temps[1]);
+  EXPECT_EQ(machine.readSensors().size(), 3u);
+}
+
 TEST(GridPlantMachineTest, WarmStartWorksAtGridResolution) {
   MachineConfig config;
   config.sensor.noiseSigma = 0.0;

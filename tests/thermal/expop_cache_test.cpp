@@ -20,18 +20,15 @@ namespace {
 
 constexpr Seconds kTick = 0.01;
 
-GridThermalConfig cachedGridConfig() {
-  GridThermalConfig config;
-  config.cellsPerCoreSide = 4;  // 66 nodes, the grid64 plant
-  return config;
-}
+/// The grid64 plant: 4 cores of 4x4 cells, 66 nodes.
+GridPackage grid64(const GridThermalConfig& config = {}) { return GridPackage(config, 4, 4); }
 
 TEST(ExpOpCache, ColdPrepareMissesThenIdenticalPrepareHits) {
   ExpOperatorCache& cache = ExpOperatorCache::instance();
   cache.clear();
   cache.setEnabled(true);
 
-  GridPackage first(cachedGridConfig());
+  GridPackage first = grid64();
   first.prepare(kTick);
   ExpOpCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);
@@ -39,7 +36,7 @@ TEST(ExpOpCache, ColdPrepareMissesThenIdenticalPrepareHits) {
   EXPECT_EQ(stats.inserts, 1u);
   EXPECT_EQ(stats.entries, 1u);
 
-  GridPackage second(cachedGridConfig());
+  GridPackage second = grid64();
   second.prepare(kTick);
   stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -56,26 +53,26 @@ TEST(ExpOpCache, FingerprintSeparatesStepSizeAndNetworkAndOptions) {
   cache.clear();
   cache.setEnabled(true);
 
-  GridPackage base(cachedGridConfig());
+  GridPackage base = grid64();
   base.prepare(kTick);
   const std::uint64_t baseFp = base.network().operatorFingerprint();
 
   // Different step size.
-  GridPackage slower(cachedGridConfig());
+  GridPackage slower = grid64();
   slower.prepare(kTick * 2);
   EXPECT_NE(slower.network().operatorFingerprint(), baseFp);
 
   // Different conductances (one resistance nudged).
-  GridThermalConfig tweaked = cachedGridConfig();
+  GridThermalConfig tweaked;
   tweaked.junctionToSpreader *= 1.01;
-  GridPackage different(tweaked);
+  GridPackage different = grid64(tweaked);
   different.prepare(kTick);
   EXPECT_NE(different.network().operatorFingerprint(), baseFp);
 
   // Different ambient temperature: same E and F, different offset d.
-  GridThermalConfig warmer = cachedGridConfig();
+  GridThermalConfig warmer;
   warmer.ambient += 1.0;
-  GridPackage hotRoom(warmer);
+  GridPackage hotRoom = grid64(warmer);
   hotRoom.prepare(kTick);
   EXPECT_NE(hotRoom.network().operatorFingerprint(), baseFp);
 
@@ -90,7 +87,7 @@ TEST(ExpOpCache, InputMapSeparatesFingerprintsAndEqualMapsHit) {
 
   // The same network folded with two different input maps is two different
   // operators; a second package with an equal map shares the first entry.
-  GridPackage perCore(cachedGridConfig());
+  GridPackage perCore = grid64();
   perCore.prepare(kTick);
   RcNetwork perNode = perCore.network();
   perNode.prepare(kTick);  // identity map: one input per node
@@ -99,7 +96,7 @@ TEST(ExpOpCache, InputMapSeparatesFingerprintsAndEqualMapsHit) {
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.stats().entries, 2u);
 
-  GridPackage again(cachedGridConfig());
+  GridPackage again = grid64();
   again.prepare(kTick);
   EXPECT_EQ(again.network().operatorFingerprint(), perCore.network().operatorFingerprint());
   EXPECT_EQ(again.network().preparedOperator(), perCore.network().preparedOperator());
@@ -112,9 +109,9 @@ TEST(ExpOpCache, DisabledCacheNeverReturnsEntriesAndStopsCounting) {
   cache.clear();
   cache.setEnabled(false);
 
-  GridPackage first(cachedGridConfig());
+  GridPackage first = grid64();
   first.prepare(kTick);
-  GridPackage second(cachedGridConfig());
+  GridPackage second = grid64();
   second.prepare(kTick);
   const ExpOpCacheStats stats = cache.stats();
   EXPECT_FALSE(stats.enabled);
@@ -132,9 +129,9 @@ TEST(ExpOpCache, WarmHitTrajectoryIsBitIdenticalToColdPrepare) {
   cache.clear();
   cache.setEnabled(true);
 
-  GridPackage cold(cachedGridConfig());
+  GridPackage cold = grid64();
   cold.prepare(kTick);  // miss: computes and publishes the entry
-  GridPackage warm(cachedGridConfig());
+  GridPackage warm = grid64();
   warm.prepare(kTick);  // hit: adopts the shared entry
   ASSERT_EQ(cache.stats().hits, 1u);
 
@@ -154,7 +151,7 @@ TEST(ExpOpCache, ClearEmptiesEntriesAndZeroesCounters) {
   cache.clear();
   cache.setEnabled(true);
 
-  GridPackage package(cachedGridConfig());
+  GridPackage package = grid64();
   package.prepare(kTick);
   EXPECT_EQ(cache.stats().entries, 1u);
   cache.clear();
@@ -168,9 +165,9 @@ TEST(ExpOpCache, PublishWritesAmbientMetrics) {
   cache.clear();
   cache.setEnabled(true);
 
-  GridPackage first(cachedGridConfig());
+  GridPackage first = grid64();
   first.prepare(kTick);
-  GridPackage second(cachedGridConfig());
+  GridPackage second = grid64();
   second.prepare(kTick);
 
   obs::MetricsRegistry registry;

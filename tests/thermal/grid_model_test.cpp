@@ -2,14 +2,125 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
-#include "thermal/quadcore.hpp"
+#include "lumped_reference.hpp"
 
 namespace rltherm::thermal {
 namespace {
 
+/// The default plant: the calibrated quad-core at one cell per core.
+GridPackage lumpedQuadCore() { return GridPackage(GridThermalConfig{}, 4, 1); }
+
+// --- the lumped quad-core package (one cell per core) ----------------------
+
+TEST(QuadCoreTest, DefaultStructure) {
+  const GridPackage pkg = lumpedQuadCore();
+  EXPECT_EQ(pkg.coreCount(), 4u);
+  EXPECT_EQ(pkg.network().nodeCount(), 6u);  // 4 cores + spreader + sink
+  EXPECT_EQ(pkg.network().nodesOfKind(NodeKind::Core).size(), 4u);
+  EXPECT_EQ(pkg.network().node(pkg.spreaderNode()).kind, NodeKind::Spreader);
+  EXPECT_EQ(pkg.network().node(pkg.sinkNode()).kind, NodeKind::Sink);
+  for (std::size_t core = 0; core < 4; ++core) {
+    ASSERT_EQ(pkg.coreCells(core).size(), 1u);
+    EXPECT_EQ(pkg.coreCells(core)[0], core);  // cores are nodes 0..3
+  }
+}
+
+TEST(QuadCoreTest, UniformPowerGivesSymmetricCoreTemperatures) {
+  GridPackage pkg = lumpedQuadCore();
+  const std::vector<Watts> corePower(4, 5.0);
+  pkg.network().setTemperatures(pkg.network().steadyState(pkg.nodePower(corePower)));
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_NEAR(pkg.coreMeanTemperature(0), pkg.coreMeanTemperature(i), 1e-9);
+  }
+}
+
+TEST(QuadCoreTest, LoadedCoreIsHottest) {
+  GridPackage pkg = lumpedQuadCore();
+  const std::vector<Watts> corePower = {8.0, 1.0, 1.0, 1.0};
+  const std::vector<Celsius> ss = pkg.network().steadyState(pkg.nodePower(corePower));
+  pkg.network().setTemperatures(ss);
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_GT(pkg.coreMeanTemperature(0), pkg.coreMeanTemperature(i));
+  }
+  // Lateral coupling: the adjacent idle cores still sit above the spreader.
+  EXPECT_GT(pkg.coreMeanTemperature(1), ss[pkg.spreaderNode()]);
+}
+
+TEST(QuadCoreTest, FullLoadSteadyStateInCalibratedRange) {
+  // All four cores at max-frequency power (~8.3 W dynamic + ~2.5 W leakage)
+  // should land near the calibrated ~70 C the paper's platform exhibits.
+  GridPackage pkg = lumpedQuadCore();
+  const std::vector<Watts> corePower(4, 10.8);
+  pkg.network().setTemperatures(pkg.network().steadyState(pkg.nodePower(corePower)));
+  EXPECT_GT(pkg.coreMeanTemperature(0), 60.0);
+  EXPECT_LT(pkg.coreMeanTemperature(0), 80.0);
+}
+
+TEST(QuadCoreTest, IdleSteadyStateIsWarm) {
+  GridPackage pkg = lumpedQuadCore();
+  const std::vector<Watts> corePower(4, 1.3);
+  pkg.network().setTemperatures(pkg.network().steadyState(pkg.nodePower(corePower)));
+  EXPECT_GT(pkg.coreMeanTemperature(0), 28.0);
+  EXPECT_LT(pkg.coreMeanTemperature(0), 36.0);
+}
+
+TEST(QuadCoreTest, NodePowerMapsCoresOnly) {
+  const GridPackage pkg = lumpedQuadCore();
+  const std::vector<Watts> corePower = {1.0, 2.0, 3.0, 4.0};
+  const std::vector<Watts> nodePower = pkg.nodePower(corePower);
+  EXPECT_DOUBLE_EQ(nodePower[pkg.coreCells(2)[0]], 3.0);
+  EXPECT_DOUBLE_EQ(nodePower[pkg.spreaderNode()], 0.0);
+  EXPECT_DOUBLE_EQ(nodePower[pkg.sinkNode()], 0.0);
+}
+
+TEST(QuadCoreTest, NodePowerSizeMismatchThrows) {
+  const GridPackage pkg = lumpedQuadCore();
+  const std::vector<Watts> wrong(3, 1.0);
+  EXPECT_THROW(pkg.nodePower(wrong), PreconditionError);
+}
+
+TEST(QuadCoreTest, CoreTemperaturesTracksNetwork) {
+  GridPackage pkg = lumpedQuadCore();
+  pkg.network().setUniformTemperature(55.0);
+  for (std::size_t core = 0; core < 4; ++core) {
+    EXPECT_DOUBLE_EQ(pkg.coreMeanTemperature(core), 55.0);
+    EXPECT_DOUBLE_EQ(pkg.corePeakTemperature(core), 55.0);
+  }
+}
+
+TEST(QuadCoreTest, NonDefaultCoreCount) {
+  const GridPackage pkg(GridThermalConfig{}, 2, 1);
+  EXPECT_EQ(pkg.coreCount(), 2u);
+  EXPECT_EQ(pkg.network().nodeCount(), 4u);
+}
+
+TEST(QuadCoreTest, ZeroCoresRejected) {
+  EXPECT_THROW(GridPackage(GridThermalConfig{}, 0, 1), PreconditionError);
+}
+
+TEST(QuadCoreTest, TransientCoreTimeConstantIsFast) {
+  // A power step on one core should move its junction temperature most of
+  // the way to the local steady state within a few seconds (the calibrated
+  // tau ~ R_jc * C_core ~ 1.3 s), while the sink barely moves.
+  GridPackage pkg = lumpedQuadCore();
+  pkg.prepare(0.01);
+  const std::vector<Watts> corePower = {9.0, 1.0, 1.0, 1.0};
+  const Celsius sinkBefore = pkg.network().temperature(pkg.sinkNode());
+  for (int i = 0; i < 300; ++i) pkg.network().step(corePower);  // 3 seconds
+  const Celsius coreRise = pkg.coreMeanTemperature(0) - 25.0;
+  const Celsius sinkRise = pkg.network().temperature(pkg.sinkNode()) - sinkBefore;
+  EXPECT_GT(coreRise, 8.0);
+  EXPECT_LT(sinkRise, coreRise * 0.3);
+}
+
+// --- finer grids -----------------------------------------------------------
+
 TEST(GridModelTest, DefaultStructure) {
-  const GridPackage pkg(GridThermalConfig{});
+  const GridPackage pkg(GridThermalConfig{}, 4, 2);
   EXPECT_EQ(pkg.coreCount(), 4u);
   EXPECT_EQ(pkg.cellRows(), 4u);
   EXPECT_EQ(pkg.cellCols(), 4u);
@@ -21,24 +132,22 @@ TEST(GridModelTest, DefaultStructure) {
 }
 
 TEST(GridModelTest, CoarsestGridIsOneCellPerCore) {
-  GridThermalConfig config;
-  config.cellsPerCoreSide = 1;
-  const GridPackage pkg(config);
+  const GridPackage pkg = lumpedQuadCore();
   EXPECT_EQ(pkg.cellCount(), 4u);
   EXPECT_EQ(pkg.coreCells(0).size(), 1u);
 }
 
 TEST(GridModelTest, InvalidConfigRejected) {
-  GridThermalConfig config;
-  config.coreRows = 0;
-  EXPECT_THROW(GridPackage{config}, PreconditionError);
-  config = GridThermalConfig{};
-  config.cellsPerCoreSide = 0;
-  EXPECT_THROW(GridPackage{config}, PreconditionError);
+  EXPECT_THROW(GridPackage(GridThermalConfig{}, 0, 2), PreconditionError);
+  EXPECT_THROW(GridPackage(GridThermalConfig{}, 4, 0), PreconditionError);
+  // N * N * cores must fit in std::size_t.
+  EXPECT_THROW(GridPackage(GridThermalConfig{}, 4, std::size_t{1} << 32), PreconditionError);
+  EXPECT_THROW(GridPackage(GridThermalConfig{}, std::size_t{1} << 40, std::size_t{1} << 12),
+               PreconditionError);
 }
 
 TEST(GridModelTest, UniformPowerGivesSymmetricCores) {
-  GridPackage pkg(GridThermalConfig{});
+  GridPackage pkg(GridThermalConfig{}, 4, 2);
   const std::vector<Watts> power(4, 6.0);
   const std::vector<Celsius> ss = pkg.network().steadyState(pkg.nodePower(power));
   pkg.network().setTemperatures(ss);
@@ -48,37 +157,27 @@ TEST(GridModelTest, UniformPowerGivesSymmetricCores) {
 }
 
 TEST(GridModelTest, CoarseGridMatchesLumpedModel) {
-  // With one cell per core, the grid package IS the lumped quadcore network
-  // (same nodes, parameters and order): the steady states agree exactly as
+  // With one cell per core, the grid package IS the lumped network (same
+  // nodes, parameters and order): the steady states agree exactly as
   // measured, asserted to within 4 ULPs.
-  GridThermalConfig gridConfig;
-  gridConfig.cellsPerCoreSide = 1;
-  GridPackage grid(gridConfig);
-
-  QuadCoreThermalConfig lumpedConfig;  // defaults match GridThermalConfig's
-  QuadCorePackage lumped = buildQuadCorePackage(lumpedConfig);
+  GridPackage grid = lumpedQuadCore();
+  const RcNetwork lumped = buildLumpedReference(GridThermalConfig{}, 4);
 
   const std::vector<Watts> power = {9.0, 2.0, 5.0, 1.0};
   const std::vector<Celsius> gridSs = grid.network().steadyState(grid.nodePower(power));
-  const std::vector<Celsius> lumpedSs =
-      lumped.network.steadyState(lumped.nodePower(power));
+  const std::vector<Celsius> lumpedSs = lumped.steadyState(lumpedInputMap(4) * power);
   grid.network().setTemperatures(gridSs);
 
   for (std::size_t core = 0; core < 4; ++core) {
-    EXPECT_DOUBLE_EQ(grid.coreMeanTemperature(core), lumpedSs[lumped.coreNodes[core]])
-        << "core " << core;
+    EXPECT_DOUBLE_EQ(grid.coreMeanTemperature(core), lumpedSs[core]) << "core " << core;
   }
 }
 
 TEST(GridModelTest, FineGridStaysNearLumpedAverages) {
   // Refining the grid must not change the core-average temperatures much
   // (same total capacitance, same vertical conductance).
-  GridThermalConfig coarseConfig;
-  coarseConfig.cellsPerCoreSide = 1;
-  GridThermalConfig fineConfig;
-  fineConfig.cellsPerCoreSide = 3;
-  GridPackage coarse(coarseConfig);
-  GridPackage fine(fineConfig);
+  GridPackage coarse = lumpedQuadCore();
+  GridPackage fine(GridThermalConfig{}, 4, 3);
 
   const std::vector<Watts> power = {9.0, 1.0, 1.0, 1.0};
   coarse.network().setTemperatures(
@@ -92,9 +191,7 @@ TEST(GridModelTest, FineGridStaysNearLumpedAverages) {
 TEST(GridModelTest, HotSpotResolvedWithinLoadedCore) {
   // A loaded core's interior cells run hotter than its cells bordering an
   // idle neighbour; peak >= mean strictly under asymmetric load.
-  GridThermalConfig config;
-  config.cellsPerCoreSide = 3;
-  GridPackage pkg(config);
+  GridPackage pkg(GridThermalConfig{}, 4, 3);
   const std::vector<Watts> power = {10.0, 0.5, 0.5, 0.5};
   pkg.network().setTemperatures(pkg.network().steadyState(pkg.nodePower(power)));
   EXPECT_GT(pkg.corePeakTemperature(0), pkg.coreMeanTemperature(0) + 0.05);
@@ -102,7 +199,7 @@ TEST(GridModelTest, HotSpotResolvedWithinLoadedCore) {
 }
 
 TEST(GridModelTest, TransientSteppingWorks) {
-  GridPackage pkg(GridThermalConfig{});
+  GridPackage pkg(GridThermalConfig{}, 4, 2);
   pkg.network().prepare(0.01);
   const std::vector<Watts> power = {8.0, 8.0, 1.0, 1.0};
   const std::vector<Watts> nodePower = pkg.nodePower(power);
@@ -112,7 +209,7 @@ TEST(GridModelTest, TransientSteppingWorks) {
 }
 
 TEST(GridModelTest, NodePowerSpreadsUniformlyOverCells) {
-  const GridPackage pkg(GridThermalConfig{});
+  const GridPackage pkg(GridThermalConfig{}, 4, 2);
   const std::vector<Watts> power = {8.0, 0.0, 0.0, 0.0};
   const std::vector<Watts> nodePower = pkg.nodePower(power);
   for (const std::size_t cell : pkg.coreCells(0)) {
@@ -122,25 +219,52 @@ TEST(GridModelTest, NodePowerSpreadsUniformlyOverCells) {
 }
 
 TEST(GridModelTest, CellNodeBoundsChecked) {
-  const GridPackage pkg(GridThermalConfig{});
+  const GridPackage pkg(GridThermalConfig{}, 4, 2);
   EXPECT_THROW((void)pkg.cellNode(4, 0), PreconditionError);
   EXPECT_THROW((void)pkg.coreCells(4), PreconditionError);
   const std::vector<Watts> wrong(3, 1.0);
   EXPECT_THROW(pkg.nodePower(wrong), PreconditionError);
+
+  // Three cores leave the lower-right block of the die without cells.
+  const GridPackage partial(GridThermalConfig{}, 3, 2);
+  EXPECT_EQ(partial.cellNode(3, 1), partial.coreCells(2)[3]);
+  EXPECT_THROW((void)partial.cellNode(2, 2), PreconditionError);
 }
 
 class GridResolutionSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(GridResolutionSweep, TotalHeatBalancesAtSteadyState) {
-  // Property: at steady state, total power in == power out through the sink
-  // (checked via the sink temperature drop over the ambient resistance).
-  GridThermalConfig config;
-  config.cellsPerCoreSide = GetParam();
-  GridPackage pkg(config);
-  const std::vector<Watts> power = {7.0, 3.0, 2.0, 4.0};
-  const std::vector<Celsius> ss = pkg.network().steadyState(pkg.nodePower(power));
-  const double sinkFlow = (ss[pkg.sinkNode()] - config.ambient) / config.sinkToAmbient;
-  EXPECT_NEAR(sinkFlow, 16.0, 1e-6);
+  // Property, for full and partial rows of cores: at steady state, total
+  // power in == power out through the sink (checked via the sink
+  // temperature drop over the ambient resistance), and every core owns its
+  // N x N block of cells, each cell under exactly one core.
+  const GridThermalConfig config;
+  const std::size_t side = GetParam();
+  for (const std::size_t cores : {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
+    SCOPED_TRACE("cores = " + std::to_string(cores));
+    GridPackage pkg(config, cores, side);
+    ASSERT_EQ(pkg.cellCount(), cores * side * side);
+    ASSERT_EQ(pkg.network().nodeCount(), pkg.cellCount() + 2);
+    EXPECT_EQ(pkg.cellCols(), std::min<std::size_t>(cores, 2) * side);
+    EXPECT_EQ(pkg.cellRows(), (cores + 1) / 2 * side);
+    std::vector<int> owners(pkg.cellCount(), 0);
+    for (std::size_t core = 0; core < cores; ++core) {
+      ASSERT_EQ(pkg.coreCells(core).size(), side * side);
+      for (const std::size_t node : pkg.coreCells(core)) {
+        ASSERT_LT(node, pkg.cellCount());
+        ++owners[node];
+      }
+    }
+    for (const int owner : owners) EXPECT_EQ(owner, 1);
+
+    const std::vector<Watts> all = {7.0, 3.0, 2.0, 4.0};
+    const std::vector<Watts> power(all.begin(), all.begin() + static_cast<long>(cores));
+    double total = 0.0;
+    for (const Watts p : power) total += p;
+    const std::vector<Celsius> ss = pkg.network().steadyState(pkg.nodePower(power));
+    const double sinkFlow = (ss[pkg.sinkNode()] - config.ambient) / config.sinkToAmbient;
+    EXPECT_NEAR(sinkFlow, total, 1e-6);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Resolutions, GridResolutionSweep, ::testing::Values(1, 2, 3, 4));

@@ -1,9 +1,11 @@
 // Property-test harness for the packed RC step kernel (rc_network.hpp).
 //
 // The contract under test:
-//  - on the lumped quad-core package (unit input columns at the core nodes,
-//    ambient only at the sink) the step is BIT-IDENTICAL, tick for tick, to
-//    the classic dense two-matvec step E T + Phi (P + G_amb T_amb), which a
+//  - the 1-cell-per-core GridPackage builds the lumped quad-core network
+//    bit for bit (checked against a directly built reference);
+//  - on that lumped package (unit input columns at the core nodes, ambient
+//    only at the sink) the step is BIT-IDENTICAL, tick for tick, to the
+//    classic dense two-matvec step E T + Phi (P + G_amb T_amb), which a
 //    test-side oracle rebuilds from expm + LuFactorization;
 //  - on seeded random heterogeneous grids (4 .. 128 cells) with a
 //    per-core input map, the step stays within kRk4Bound of RK4 on fine
@@ -24,7 +26,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "thermal/quadcore.hpp"
+#include "lumped_reference.hpp"
+#include "thermal/grid_model.hpp"
 #include "thermal/rc_network.hpp"
 
 namespace rltherm::thermal {
@@ -189,24 +192,59 @@ double maxAbsDiff(std::span<const Celsius> a, std::span<const Celsius> b) {
 // (a) The default plant: the packed kernel must equal the dense two-matvec
 // step bit for bit, so folding the input map changed no simulated value.
 TEST(StepEquivalenceProperty, LumpedStepIsBitIdenticalToDenseOracle) {
-  QuadCorePackage pkg = buildQuadCorePackage({});
-  pkg.network.setTemperatures(pkg.network.steadyState(pkg.nodePower(
+  GridPackage pkg(GridThermalConfig{}, 4, 1);
+  RcNetwork& network = pkg.network();
+  network.setTemperatures(network.steadyState(pkg.nodePower(
       std::vector<Watts>{1.0, 1.0, 1.0, 1.0})));
   pkg.prepare(kTick);
-  ASSERT_EQ(pkg.network.inputCount(), 4u);
-  DenseOracle oracle(pkg.network, kTick);
+  ASSERT_EQ(network.inputCount(), 4u);
+  DenseOracle oracle(network, kTick);
 
   Rng rng(0x1EA4);
   LeakyTrace trace(rng, 4);  // nodes 0..3 are the cores
   for (std::size_t t = 0; t < 12000; ++t) {
-    const std::vector<Watts>& corePower = trace.at(t, pkg.network.temperatures());
-    pkg.network.step(corePower);
+    const std::vector<Watts>& corePower = trace.at(t, network.temperatures());
+    network.step(corePower);
     oracle.step(pkg.nodePower(corePower));
-    const std::span<const Celsius> a = pkg.network.temperatures();
+    const std::span<const Celsius> a = network.temperatures();
     const std::span<const Celsius> b = oracle.temperatures();
     ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(Celsius)))
         << "bitwise divergence from the dense oracle at tick " << t;
   }
+}
+
+bool bitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(double)) == 0;
+}
+
+// The one-cell-per-core grid IS the lumped package: the same conductance
+// matrix bit for bit and the same prepared operator, for 1..4 cores, with
+// the default parameters and with a lateral resistance under which the
+// summation order shows in the last bit (the interleaved-order canary).
+TEST(StepEquivalenceProperty, OneCellGridReproducesTheLumpedNetworkBitwise) {
+  GridThermalConfig skewed;
+  skewed.junctionToSpreader = 1.6;
+  skewed.lateralResistance = 2.5;
+  for (const GridThermalConfig& config : {GridThermalConfig{}, skewed}) {
+    for (std::size_t cores = 1; cores <= 4; ++cores) {
+      SCOPED_TRACE("cores = " + std::to_string(cores) +
+                   ", R_lat = " + std::to_string(config.lateralResistance));
+      GridPackage pkg(config, cores, 1);
+      RcNetwork reference = buildLumpedReference(config, cores);
+      ASSERT_EQ(pkg.network().nodeCount(), reference.nodeCount());
+      EXPECT_TRUE(bitwiseEqual(pkg.network().conductance(), reference.conductance()));
+      EXPECT_TRUE(bitwiseEqual(pkg.inputMap(), lumpedInputMap(cores)));
+      pkg.prepare(kTick);
+      reference.prepare(kTick, lumpedInputMap(cores));
+      EXPECT_EQ(pkg.network().operatorFingerprint(), reference.operatorFingerprint());
+    }
+  }
+  // Non-vacuity: the edge order matters at these parameters, so the
+  // equality above pins the order and not just the topology.
+  EXPECT_FALSE(bitwiseEqual(
+      buildLumpedReference(skewed, 4, LumpedEdgeOrder::PerCellInterleaved).conductance(),
+      buildLumpedReference(skewed, 4).conductance()));
 }
 
 /// Runs the kernel (prepared with `kernelMap`) against RK4 on kRk4SubSteps
