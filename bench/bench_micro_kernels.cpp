@@ -36,6 +36,7 @@
 #include "sched/scheduler.hpp"
 #include "thermal/expop_cache.hpp"
 #include "thermal/grid_model.hpp"
+#include "thermal/step_kernel.hpp"
 
 namespace {
 
@@ -242,11 +243,14 @@ BENCHMARK(BM_DoubleQUpdate);
 /// kernels with no simulated-time semantics, e.g. rainflow over a trace).
 /// `ops` is the number of work items one rep performs (steps, prepares,
 /// updates, ...) so the report can state per-kernel ops/sec — prepare()
-/// throughput is reported separately from step() throughput.
+/// throughput is reported separately from step() throughput. Consecutive
+/// kernels with the same non-empty `group` are timed in alternating reps, so
+/// a same-run ratio between them sees the same host phases.
 struct JsonKernel {
   std::string name;
   double ops = 0.0;
   std::function<double()> run;
+  std::string group;
 };
 
 /// Per-core power that changes on every tick the way the closed loop's
@@ -312,8 +316,9 @@ std::vector<JsonKernel> jsonKernels() {
   // The 66-node step with leaky per-core power (a new input every tick):
   // the packed kernel vs the dense two-matvec reference E T + Phi u, built
   // here from expm + LU and applied with two Matrix::multiplyInto products.
-  // Same grid, same input sequence, same 5000 steps — the same-run pair
+  // Same grid, same input sequence, same 5000 steps — the same-run group
   // behind the step-kernel speedup gate in scripts/check.sh.
+  const std::string stepGroup = "rc_step_grid64";
   kernels.push_back({"rc_step_grid64_leaky", 5000, [] {
     thermal::GridPackage pkg = grid64();
     pkg.prepare(0.01);
@@ -323,7 +328,26 @@ std::vector<JsonKernel> jsonKernels() {
       pkg.network().step(power);
     }
     return 5000 * 0.01;
-  }});
+  }, stepGroup});
+
+  // The same loop through the baseline entry point, whatever step()
+  // dispatches to on this host: the step-kernel gate compares it with the
+  // dense reference and, on an AVX2 host, with rc_step_grid64_leaky.
+  kernels.push_back({"rc_step_grid64_baseline", 5000, [] {
+    thermal::GridPackage pkg = grid64();
+    pkg.prepare(0.01);
+    thermal::RcNetwork& net = pkg.network();
+    const thermal::PreparedStep& op = *net.preparedOperator();
+    std::vector<double> next(op.offset.size());
+    std::vector<Watts> power(pkg.coreCount());
+    for (int i = 0; i < 5000; ++i) {
+      leakyCorePower(pkg, power);
+      thermal::applyTilesBaseline(op, net.temperatures().data(), power.data(),
+                                  next.data());
+      net.setTemperatures(std::span<const double>(next).first(op.nodes));
+    }
+    return 5000 * 0.01;
+  }, stepGroup});
 
   kernels.push_back({"rc_step_grid64_reference", 5000,
                      [reference = std::make_shared<const DenseStep>(grid64())] {
@@ -348,7 +372,7 @@ std::vector<JsonKernel> jsonKernels() {
       pkg.network().setTemperatures(temps);
     }
     return 5000 * 0.01;
-  }});
+  }, stepGroup});
 
   // prepare() throughput, reported separately from step(): cold = the full
   // O(n^3) expm + LU build (cache cleared before every prepare), warm = the
@@ -481,18 +505,30 @@ int runJsonMode(int argc, char** argv, const std::string& jsonPath) {
   meta.jobs = 1;
 
   const std::uint64_t benchStartNs = obs::wallClockNs();
-  for (const JsonKernel& kernel : kernels) {
-    (void)kernel.run();  // warmup: page in code + data, settle allocators
-    std::vector<double> samples;
-    samples.reserve(reps);
-    double simSecondsPerRep = 0.0;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      const std::uint64_t startNs = obs::wallClockNs();
-      simSecondsPerRep = kernel.run();
-      samples.push_back(static_cast<double>(obs::wallClockNs() - startNs));
+  for (std::size_t first = 0; first < kernels.size();) {
+    std::size_t end = first + 1;  // one kernel, or its whole group
+    while (end < kernels.size() && !kernels[first].group.empty() &&
+           kernels[end].group == kernels[first].group) {
+      ++end;
     }
-    measured.push_back({kernel.name, obs::repStats(samples), simSecondsPerRep, kernel.ops});
-    meta.simSeconds += simSecondsPerRep * static_cast<double>(reps);
+    for (std::size_t k = first; k < end; ++k) {
+      (void)kernels[k].run();  // warmup: page in code + data, settle allocators
+    }
+    std::vector<std::vector<double>> samples(end - first);
+    std::vector<double> simSecondsPerRep(end - first, 0.0);
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      for (std::size_t k = first; k < end; ++k) {
+        const std::uint64_t startNs = obs::wallClockNs();
+        simSecondsPerRep[k - first] = kernels[k].run();
+        samples[k - first].push_back(static_cast<double>(obs::wallClockNs() - startNs));
+      }
+    }
+    for (std::size_t k = first; k < end; ++k) {
+      measured.push_back({kernels[k].name, obs::repStats(samples[k - first]),
+                          simSecondsPerRep[k - first], kernels[k].ops});
+      meta.simSeconds += simSecondsPerRep[k - first] * static_cast<double>(reps);
+    }
+    first = end;
   }
   meta.wallMs = static_cast<double>(obs::wallClockNs() - benchStartNs) / 1e6;
 
@@ -547,6 +583,8 @@ int runJsonMode(int argc, char** argv, const std::string& jsonPath) {
     json.endObject();
   }
   json.endArray();
+  // The entry point step() takes for the 66-node grid on this host.
+  json.key("step_kernel").value(thermal::stepKernelName(grid64().network().nodeCount()));
   // Exp-operator cache totals over the whole bench process (the prepare
   // kernels exercise it): scripts/check.sh asserts hits > 0 here with the
   // cache enabled and hits == 0 under RLTHERM_EXPOP_CACHE=0.

@@ -240,10 +240,18 @@ echo "perf canary: 3x artificial slowdown caught as expected"
 # Step-kernel gate: in the same run, the packed kernel (rc_step_grid64_leaky)
 # must beat the dense two-matvec reference (rc_step_grid64_reference) by
 # >= 2x on the 64-cell grid with leaky power that changes every tick, with
-# the exp-operator cache actually exercised (hits > 0). Then re-run the
-# bench with the cache disabled via RLTHERM_EXPOP_CACHE=0 and require
-# hits == 0 AND the same >= 2x ratio — proving the kernel cannot fail open
-# into stale cached operators, and that its win is the kernel, not the cache.
+# the exp-operator cache actually exercised (hits > 0). The baseline entry
+# point (rc_step_grid64_baseline) must beat the reference by >= 2x too, so
+# that claim never rests on the wide path alone; where step() dispatches to
+# the AVX2 kernel ("step_kernel": "avx2"), it must beat the baseline by
+# >= 1.3x. Then re-run the bench with the cache disabled via
+# RLTHERM_EXPOP_CACHE=0 and require hits == 0 AND the same 2x ratios —
+# proving the kernel cannot fail open into stale cached operators, and that
+# its win is the kernel, not the cache. The AVX2-over-baseline ratio is only
+# printed there: both lanes prepare the same operator the same way, so the
+# cache cannot favour either, and with it off every rep of both lanes also
+# pays a cold prepare, which holds that ratio at 1.41-1.47 on a 4-vCPU
+# Xeon (1.71-1.86 with the cache on), too close to 1.3 to gate on.
 # A same-run ratio needs no cross-host baseline.
 if command -v python3 >/dev/null 2>&1; then
   check_fast_path() {
@@ -253,7 +261,8 @@ path, mode = sys.argv[1], sys.argv[2]
 doc = json.load(open(path))
 kernels = {k["name"]: k for k in doc["kernels"]}
 for name in ("rc_step_grid64_reference", "rc_step_grid64_leaky",
-             "rc_prepare_grid64_cold", "rc_prepare_grid64_warm"):
+             "rc_step_grid64_baseline", "rc_prepare_grid64_cold",
+             "rc_prepare_grid64_warm"):
     if name not in kernels:
         sys.exit(f"{path}: kernel '{name}' missing from the report")
     if kernels[name].get("ops_per_sec", 0.0) <= 0.0:
@@ -263,10 +272,28 @@ for name in ("rc_step_grid64_reference", "rc_step_grid64_leaky",
 # two kernels' uncontended cost, which is what the 2x claim is about.
 reference = kernels["rc_step_grid64_reference"]["min_ns"]
 leaky = kernels["rc_step_grid64_leaky"]["min_ns"]
+baseline = kernels["rc_step_grid64_baseline"]["min_ns"]
 speedup = reference / leaky if leaky > 0 else 0.0
 if speedup < 2.0:
     sys.exit(f"{path}: step kernel speedup {speedup:.2f}x < 2x "
              f"(reference {reference/1e6:.3f} ms vs leaky {leaky/1e6:.3f} ms)")
+baseline_speedup = reference / baseline if baseline > 0 else 0.0
+if baseline_speedup < 2.0:
+    sys.exit(f"{path}: baseline step kernel speedup {baseline_speedup:.2f}x < 2x "
+             f"(reference {reference/1e6:.3f} ms vs baseline {baseline/1e6:.3f} ms)")
+step_kernel = doc.get("step_kernel")
+if step_kernel == "avx2":
+    wide_speedup = baseline / leaky if leaky > 0 else 0.0
+    if mode == "cached" and wide_speedup < 1.3:
+        sys.exit(f"{path}: AVX2 step kernel speedup {wide_speedup:.2f}x < 1.3x "
+                 f"(baseline {baseline/1e6:.3f} ms vs avx2 {leaky/1e6:.3f} ms)")
+    wide = f", avx2 {wide_speedup:.2f}x over the baseline kernel"
+    if mode != "cached":
+        wide += " (not gated: each rep also pays a cold prepare)"
+elif step_kernel == "baseline":
+    wide = ", avx2-over-baseline check skipped (no AVX2 on this host)"
+else:
+    sys.exit(f"{path}: step_kernel is {step_kernel!r}, expected 'avx2' or 'baseline'")
 cache = doc["expop_cache"]
 if mode == "cached":
     if not cache["enabled"]:
@@ -279,6 +306,7 @@ else:
     if cache["hits"] != 0 or cache["misses"] != 0:
         sys.exit(f"{path}: disabled cache still counted lookups")
 print(f"step kernel ({mode}): {speedup:.2f}x over the dense reference, "
+      f"baseline kernel {baseline_speedup:.2f}x{wide}, "
       f"cache hits={cache['hits']} enabled={cache['enabled']}")
 PY
   }

@@ -92,4 +92,15 @@ ThermalManagerConfig managerConfigFrom(const ConfigFile& config) {
   return manager;
 }
 
+void requireProposedPolicyMachine(const RunnerConfig& runner) {
+  if (runner.machine.coreCount != kProposedPolicyCores) {
+    const std::string required = std::to_string(kProposedPolicyCores);
+    std::string message = "config [machine] cores: ";
+    message += std::to_string(runner.machine.coreCount) + " must be " + required +
+               " for the proposed policy (its action space is built for " + required +
+               " cores)";
+    throw PreconditionError(message);
+  }
+}
+
 }  // namespace rltherm::core

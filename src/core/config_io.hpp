@@ -17,7 +17,8 @@
 //
 // Counts are range-checked on load (PreconditionError naming section and
 // key): cores >= 1, thermal_cells >= 1, stress_bins and aging_bins in
-// [2, 64].
+// [2, 64]. A caller that runs the proposed policy also checks the machine
+// with requireProposedPolicyMachine: its action space is built for 4 cores.
 #pragma once
 
 #include "common/config.hpp"
@@ -31,5 +32,14 @@ namespace rltherm::core {
 
 /// Overlay [manager] keys onto defaults.
 [[nodiscard]] ThermalManagerConfig managerConfigFrom(const ConfigFile& config);
+
+/// Cores the proposed policy's action space, ActionSpace::standard, is
+/// built for.
+inline constexpr std::size_t kProposedPolicyCores = 4;
+
+/// Throws a PreconditionError naming [machine] cores unless the machine has
+/// kProposedPolicyCores cores, so a run of the proposed policy is refused
+/// before it starts rather than failing on its first affinity mask.
+void requireProposedPolicyMachine(const RunnerConfig& runner);
 
 }  // namespace rltherm::core

@@ -21,7 +21,7 @@ std::string toString(GovernorKind kind) {
 std::string GovernorSetting::toString() const {
   std::string s = rltherm::platform::toString(kind);
   if (kind == GovernorKind::Userspace) {
-    s += "@" + formatFixed(userspaceFrequency / 1e9, 1) + "GHz";
+    s.append("@").append(formatFixed(userspaceFrequency / 1e9, 1)).append("GHz");
   }
   return s;
 }

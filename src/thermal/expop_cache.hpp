@@ -28,14 +28,36 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace rltherm::thermal {
 
-/// Rows per tile of the packed operator: four 2-wide SIMD accumulators.
+/// Rows per tile of the packed operator: four 2-wide or two 4-wide SIMD
+/// accumulators (step_kernel.hpp).
 inline constexpr std::size_t kTileRows = 8;
+
+/// Allocates on cache-line (64-byte) boundaries, so no SIMD load of a tile
+/// column splits across two cache lines. With the default 16-byte alignment
+/// half the 32-byte AVX2 loads could split, depending on the heap's state,
+/// and the kernel's speed varied from one process to the next.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  CacheLineAllocator() = default;
+  template <typename U>
+  explicit CacheLineAllocator(const CacheLineAllocator<U>& /*other*/) noexcept {}
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t /*n*/) noexcept { ::operator delete(p, kAlign); }
+  friend bool operator==(const CacheLineAllocator&, const CacheLineAllocator&) noexcept {
+    return true;
+  }
+};
 
 /// Everything prepare() derives from (stepSize, network, input map):
 /// immutable once built, shared by every network with the same fingerprint.
@@ -47,9 +69,9 @@ struct PreparedStep {
   /// [E | F] in ceil(n / kTileRows) row tiles. Tile t holds rows
   /// [t*kTileRows, (t+1)*kTileRows) of its n + m columns, column by column
   /// (kTileRows contiguous values per column); rows past n are zero.
-  std::vector<double> tiles;
+  std::vector<double, CacheLineAllocator<double>> tiles;
   /// d = Phi C^{-1} G_amb T_amb, zero-padded to whole tiles.
-  std::vector<double> offset;
+  std::vector<double, CacheLineAllocator<double>> offset;
 };
 
 struct ExpOpCacheStats {

@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "obs/timeline.hpp"
 #include "thermal/expop_cache.hpp"
+#include "thermal/step_kernel.hpp"
 
 namespace rltherm::thermal {
 
@@ -105,53 +106,108 @@ std::shared_ptr<PreparedStep> packStep(Seconds h, const Matrix& conductance,
   return step;
 }
 
-// Two doubles: one SSE2 register on the baseline x86-64 ISA (GCC/Clang
-// vector extension).
-using Lane = double __attribute__((vector_size(16)));
-static_assert(kTileRows == 4 * sizeof(Lane) / sizeof(double),
-              "the kernel keeps one tile in four lanes");
+// Two doubles: one SSE2 register on the baseline x86-64 ISA; four doubles:
+// one AVX2 register (GCC/Clang vector extension).
+using Lane2 = double __attribute__((vector_size(16)));
+using Lane4 = double __attribute__((vector_size(32)));
 
-Lane loadLane(const double* p) noexcept {
-  Lane v{};
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-void storeLane(double* p, Lane v) noexcept { std::memcpy(p, &v, sizeof(v)); }
-
-/// out = E temps + (F inputs + d), one tile at a time. Each row accumulates
-/// in column order in its own lane, so the result equals the scalar
-/// left-to-right sums bit for bit; the four lanes per part are independent
-/// chains, which hides the FP-add latency. out is padded to whole tiles.
-void applyTiles(const PreparedStep& op, const double* temps, const double* inputs,
-                double* out) noexcept {
-  const double* col = op.tiles.data();
-  for (std::size_t row = 0; row < op.nodes; row += kTileRows) {
-    Lane h0{}, h1{}, h2{}, h3{};
-    for (std::size_t j = 0; j < op.nodes; ++j, col += kTileRows) {
-      const double x = temps[j];
-      h0 += loadLane(col) * x;
-      h1 += loadLane(col + 2) * x;
-      h2 += loadLane(col + 4) * x;
-      h3 += loadLane(col + 6) * x;
+/// The one tile body: out = E temps + (F inputs + d) for `Tiles` tiles from
+/// row `row`, each tile held in kTileRows / width lanes. Each row
+/// accumulates in its own lane element in column order, so the result
+/// equals the scalar left-to-right sums bit for bit at any lane width; the
+/// lanes are independent chains, which hides the FP-add latency.
+template <typename Lane, std::size_t Tiles>
+[[gnu::always_inline]] inline void applyPass(const PreparedStep& op, std::size_t row,
+                                             const double* temps, const double* inputs,
+                                             double* out) noexcept {
+  constexpr std::size_t kWidth = sizeof(Lane) / sizeof(double);
+  constexpr std::size_t kPerTile = kTileRows / kWidth;
+  constexpr std::size_t kLanes = Tiles * kPerTile;
+  static_assert(kTileRows % kWidth == 0, "a tile is a whole number of lanes");
+  const std::size_t tileSize = (op.nodes + op.inputs) * kTileRows;
+  // Lane a of the pass covers rows [a * kWidth, (a + 1) * kWidth) of it;
+  // each tile starts `tileSize` values after the previous one.
+  const auto at = [tileSize](std::size_t a) {
+    return a / kPerTile * tileSize + a % kPerTile * kWidth;
+  };
+  const double* col = op.tiles.data() + row / kTileRows * tileSize;
+  Lane h[kLanes] = {};
+  for (std::size_t j = 0; j < op.nodes; ++j, col += kTileRows) {
+    const double x = temps[j];
+#pragma GCC unroll 4
+    for (std::size_t a = 0; a < kLanes; ++a) {
+      Lane e;
+      std::memcpy(&e, col + at(a), sizeof(e));
+      h[a] += e * x;
     }
-    Lane f0{}, f1{}, f2{}, f3{};
-    for (std::size_t j = 0; j < op.inputs; ++j, col += kTileRows) {
-      const double x = inputs[j];
-      f0 += loadLane(col) * x;
-      f1 += loadLane(col + 2) * x;
-      f2 += loadLane(col + 4) * x;
-      f3 += loadLane(col + 6) * x;
+  }
+  Lane f[kLanes] = {};
+  for (std::size_t j = 0; j < op.inputs; ++j, col += kTileRows) {
+    const double x = inputs[j];
+#pragma GCC unroll 4
+    for (std::size_t a = 0; a < kLanes; ++a) {
+      Lane e;
+      std::memcpy(&e, col + at(a), sizeof(e));
+      f[a] += e * x;
     }
-    const double* d = op.offset.data() + row;
-    storeLane(out + row, h0 + (f0 + loadLane(d)));
-    storeLane(out + row + 2, h1 + (f1 + loadLane(d + 2)));
-    storeLane(out + row + 4, h2 + (f2 + loadLane(d + 4)));
-    storeLane(out + row + 6, h3 + (f3 + loadLane(d + 6)));
+  }
+#pragma GCC unroll 4
+  for (std::size_t a = 0; a < kLanes; ++a) {
+    Lane d;
+    std::memcpy(&d, op.offset.data() + row + a * kWidth, sizeof(d));
+    const Lane sum = h[a] + (f[a] + d);
+    std::memcpy(out + row + a * kWidth, &sum, sizeof(sum));
   }
 }
 
+[[gnu::always_inline]] inline void baselineTiles(const PreparedStep& op,
+                                                 const double* temps,
+                                                 const double* inputs,
+                                                 double* out) noexcept {
+  for (std::size_t row = 0; row < op.nodes; row += kTileRows) {
+    applyPass<Lane2, 1>(op, row, temps, inputs, out);
+  }
+}
+
+#if defined(__x86_64__)
+// Detected once, before main(). Should a static initializer elsewhere step
+// a network first, it sees false and takes the bit-identical baseline.
+const bool kHasAvx2 = [] {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+}();
+#else
+constexpr bool kHasAvx2 = false;
+#endif
+
+/// step()'s dispatch rule. A single-tile operator (the 6-node lumped
+/// package) stays on the inlined baseline: the wide path only pays off once
+/// it can work on two tiles per pass.
+bool takesWideKernel(std::size_t nodes) noexcept { return nodes > kTileRows && kHasAvx2; }
+
 }  // namespace
+
+void applyTilesBaseline(const PreparedStep& op, const double* temps, const double* inputs,
+                        double* out) noexcept {
+  baselineTiles(op, temps, inputs, out);
+}
+
+#if defined(__x86_64__)
+// No FMA: the target adds only AVX2, so no multiply-add is contracted and
+// the sums stay bit-identical to the baseline.
+[[gnu::target("avx2")]] void applyTilesAvx2(const PreparedStep& op, const double* temps,
+                                            const double* inputs, double* out) noexcept {
+  std::size_t row = 0;
+  for (; row + kTileRows < op.nodes; row += 2 * kTileRows) {
+    applyPass<Lane4, 2>(op, row, temps, inputs, out);
+  }
+  if (row < op.nodes) applyPass<Lane4, 1>(op, row, temps, inputs, out);
+}
+#endif
+
+const char* stepKernelName(std::size_t nodes) noexcept {
+  return takesWideKernel(nodes) ? "avx2" : "baseline";
+}
 
 std::size_t RcNetwork::Builder::addNode(NodeSpec spec) {
   expects(spec.capacitance > 0.0, "Thermal node capacitance must be > 0");
@@ -306,7 +362,15 @@ void RcNetwork::step(std::span<const Watts> inputs) {
   expects(prepared_ != nullptr, "RcNetwork::step called before prepare()");
   expects(inputs.size() == prepared_->inputs, "step: input vector size mismatch");
   for (const Watts p : inputs) expects(p >= 0.0, "step: negative power");
-  applyTiles(*prepared_, temps_.data(), inputs.data(), next_.data());
+#if defined(__x86_64__)
+  if (takesWideKernel(prepared_->nodes)) {
+    applyTilesAvx2(*prepared_, temps_.data(), inputs.data(), next_.data());
+  } else {
+    baselineTiles(*prepared_, temps_.data(), inputs.data(), next_.data());
+  }
+#else
+  baselineTiles(*prepared_, temps_.data(), inputs.data(), next_.data());
+#endif
   std::copy_n(next_.begin(), temps_.size(), temps_.begin());
   if constexpr (kContractsEnabled) {
     for (const Celsius t : temps_) {

@@ -23,13 +23,16 @@
 //                                  d = Phi C^{-1} G_amb T_amb
 //
 // [E | F] is packed into 8-row tiles stored column by column, and step()
-// walks each tile once with 2-wide SIMD accumulators. Every row is still
-// summed in column order (E T, then F p + d, the two added last), so with
-// unit input columns the step is bit-identical to the two-matvec form
-// E T + Phi C^{-1} (P + G_amb T_amb). A classic RK4 integrator is provided
-// as an independent cross-check for the tests. Prepared operators are
-// shared across networks through the process-wide fingerprint-keyed cache
-// (expop_cache.hpp).
+// walks each tile once with SIMD accumulators: 2-wide lanes, one tile per
+// pass, on the baseline ISA; 4-wide AVX2 lanes, two tiles per pass, for
+// operators of more than one tile on a host with AVX2 (step_kernel.hpp).
+// Every row is still summed in column order (E T, then F p + d, the two
+// added last) with no fused multiply-add, so both kernels give the same
+// bits, and with unit input columns the step is bit-identical to the
+// two-matvec form E T + Phi C^{-1} (P + G_amb T_amb). A classic RK4
+// integrator is provided as an independent cross-check for the tests.
+// Prepared operators are shared across networks through the process-wide
+// fingerprint-keyed cache (expop_cache.hpp).
 #pragma once
 
 #include <cstdint>

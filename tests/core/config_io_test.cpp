@@ -137,6 +137,25 @@ TEST(ConfigIoTest, BinCountsOutsideTwoToSixtyFourRejected) {
   EXPECT_EQ(rejection("[manager]\nstress_bins = 2\naging_bins = 64\n", true), "");
 }
 
+TEST(ConfigIoTest, ProposedPolicyRequiresFourCores) {
+  const auto proposedRejection = [](const char* text) -> std::string {
+    try {
+      requireProposedPolicyMachine(runnerConfigFrom(ConfigFile::parse(text)));
+    } catch (const PreconditionError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(proposedRejection("[machine]\ncores = 3\n"),
+            "config [machine] cores: 3 must be 4 for the proposed policy "
+            "(its action space is built for 4 cores)");
+  EXPECT_EQ(proposedRejection("[machine]\ncores = 8\nthermal_cells = 2\n"),
+            "config [machine] cores: 8 must be 4 for the proposed policy "
+            "(its action space is built for 4 cores)");
+  EXPECT_EQ(proposedRejection(""), "");
+  EXPECT_EQ(proposedRejection("[machine]\ncores = 4\nthermal_cells = 4\n"), "");
+}
+
 TEST(ConfigIoTest, LoadedConfigsConstructWorkingObjects) {
   const ConfigFile config = ConfigFile::parse(
       "[machine]\ncores = 2\n[manager]\nsampling_interval = 1\ndecision_epoch = 4\n");

@@ -12,7 +12,9 @@
 //    sub-steps and settles onto steadyState();
 //  - the bound is falsifiable: a deliberately wrong input-map weight (the
 //    canary) must BREAK it, proving the harness would catch a mis-folded
-//    operator rather than vacuously pass.
+//    operator rather than vacuously pass;
+//  - the AVX2 entry point (step_kernel.hpp) is bit-identical to the
+//    baseline one, tick for tick, on single- and multi-tile operators.
 //
 // Inputs are leaky: every tick adds a temperature-dependent leakage term
 // to a plateau-shaped dynamic power, so the input changes on every tick as
@@ -29,6 +31,7 @@
 #include "lumped_reference.hpp"
 #include "thermal/grid_model.hpp"
 #include "thermal/rc_network.hpp"
+#include "thermal/step_kernel.hpp"
 
 namespace rltherm::thermal {
 namespace {
@@ -79,6 +82,30 @@ RcNetwork buildRandomGrid(Rng& rng, std::size_t rows, std::size_t cols) {
   }
   builder.connect(spreaderNode, sinkNode, rng.uniform(0.2, 0.3));
   builder.ambient(25.0);
+  return builder.build();
+}
+
+/// Random connected network of n nodes: a chain through every node plus
+/// about n random extra edges, ambient paths on a random quarter of the
+/// nodes (always including the last), every value drawn independently.
+RcNetwork buildRandomNetwork(Rng& rng, std::size_t n) {
+  RcNetwork::Builder builder;
+  for (std::size_t i = 0; i < n; ++i) {
+    NodeSpec spec;
+    spec.name = "node-" + std::to_string(i);
+    spec.capacitance = rng.uniform(0.05, 50.0);
+    if (i + 1 == n || rng.uniformInt(4) == 0) {
+      spec.resistanceToAmbient = rng.uniform(0.2, 5.0);
+    }
+    builder.addNode(spec);
+    if (i > 0) builder.connect(i - 1, i, rng.uniform(0.1, 8.0));
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto a = static_cast<std::size_t>(rng.uniformInt(n));
+    const auto b = static_cast<std::size_t>(rng.uniformInt(n));
+    if (a != b) builder.connect(a, b, rng.uniform(0.5, 20.0));
+  }
+  builder.ambient(rng.uniform(20.0, 45.0));
   return builder.build();
 }
 
@@ -338,6 +365,73 @@ TEST(StepEquivalenceProperty, Rk4OracleAgreesWithBothPaths) {
   }
   EXPECT_LT(worstDense, 1e-3);
   EXPECT_LT(worstKernel, 1e-3);
+}
+
+/// Steps the baseline and AVX2 entry points side by side on `net`'s
+/// prepared operator over `ticks` leaky ticks, plus the network's own
+/// step(), and requires all three to agree bit for bit on every tick.
+void expectWideMatchesBaseline(RcNetwork net, std::size_t ticks, std::uint64_t seed) {
+  const PreparedStep& op = *net.preparedOperator();
+  std::vector<double> baseline(net.temperatures().begin(), net.temperatures().end());
+  std::vector<double> wide = baseline;
+  std::vector<double> baselineNext(op.offset.size());
+  std::vector<double> wideNext(op.offset.size());
+  Rng rng(seed);
+  LeakyTrace trace(rng, op.inputs);
+  for (std::size_t t = 0; t < ticks; ++t) {
+    const std::vector<Watts>& inputs = trace.at(t, baseline);
+    applyTilesBaseline(op, baseline.data(), inputs.data(), baselineNext.data());
+#if defined(__x86_64__)
+    applyTilesAvx2(op, wide.data(), inputs.data(), wideNext.data());
+#endif
+    net.step(inputs);
+    ASSERT_EQ(0, std::memcmp(baselineNext.data(), wideNext.data(),
+                             baselineNext.size() * sizeof(double)))
+        << "n = " << op.nodes << ": the AVX2 kernel diverged at tick " << t;
+    ASSERT_EQ(0, std::memcmp(baselineNext.data(), net.temperatures().data(),
+                             op.nodes * sizeof(double)))
+        << "n = " << op.nodes << ": step() (" << stepKernelName(op.nodes)
+        << ") diverged at tick " << t;
+    std::copy_n(baselineNext.begin(), op.nodes, baseline.begin());
+    std::copy_n(wideNext.begin(), op.nodes, wide.begin());
+  }
+}
+
+// (d) The wide kernel changes no simulated value: on the lumped package
+// (one tile), the 64-cell grid (9 tiles, an odd count: its last pass is a
+// single tile) and random networks of 9, 17 and 258 nodes (2, 3 and 33
+// tiles, each with a partial last tile).
+TEST(StepEquivalenceProperty, WideKernelMatchesBaselineBitwise) {
+  if (std::strcmp(stepKernelName(66), "avx2") != 0) {
+    GTEST_SKIP() << "this host has no AVX2 kernel";
+  }
+  ASSERT_STREQ(stepKernelName(6), "baseline");
+
+  GridPackage lumped(GridThermalConfig{}, 4, 1);
+  lumped.prepare(kTick);
+  ASSERT_EQ(lumped.network().nodeCount(), 6u);
+  expectWideMatchesBaseline(lumped.network(), 12000, 0x1EA4);
+
+  GridPackage grid(GridThermalConfig{}, 4, 4);
+  grid.prepare(kTick);
+  ASSERT_EQ(grid.network().nodeCount(), 66u);
+  grid.network().setUniformTemperature(45.0);
+  expectWideMatchesBaseline(grid.network(), 12000, 0x6164);
+
+  std::uint64_t seed = 0x51DE;
+  for (const std::size_t n : {9u, 17u, 258u}) {
+    Rng rng(seed++);
+    RcNetwork net = buildRandomNetwork(rng, n);
+    Matrix map(n, 4);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < 4; ++j) {
+        if (rng.uniformInt(3) == 0) map(i, j) = rng.uniform(0.0, 1.0);
+      }
+    }
+    net.prepare(kTick, map);
+    net.setUniformTemperature(40.0);
+    expectWideMatchesBaseline(net, 12000, seed * 31);
+  }
 }
 
 }  // namespace

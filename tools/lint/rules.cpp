@@ -128,9 +128,10 @@ void checkGlobalRng(const AnalysisContext& ctx, std::vector<Finding>& findings) 
       findings.push_back(
           {unit.relPath, lineOfOffset(code, static_cast<std::size_t>(it->position())),
            "global-rng",
-           "'" + (*it)[2].str() +
-               "' bypasses rltherm::Rng; all simulator randomness must flow through "
-               "src/common/rng for deterministic traces"});
+           std::string("'")
+               .append((*it)[2].str())
+               .append("' bypasses rltherm::Rng; all simulator randomness must flow "
+                       "through src/common/rng for deterministic traces")});
     }
   }
 }

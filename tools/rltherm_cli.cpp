@@ -411,7 +411,8 @@ PolicyBundle makePolicy(const std::string& name, const ConfigFile& config) {
         std::make_unique<core::GeQiuPolicy>(core::GeQiuConfig{}, name == "ge-modified");
   } else if (name == "proposed") {
     auto manager = std::make_unique<core::ThermalManager>(
-        core::managerConfigFrom(config), core::ActionSpace::standard(4));
+        core::managerConfigFrom(config),
+        core::ActionSpace::standard(core::kProposedPolicyCores));
     bundle.manager = manager.get();
     bundle.policy = std::move(manager);
   } else {
@@ -495,6 +496,15 @@ bool isLearningPolicy(const std::string& name) {
   return name == "proposed" || name == "ge" || name == "ge-modified";
 }
 
+/// Refuses, before any run starts, a machine the proposed policy cannot
+/// drive when `policies` names it.
+void checkPolicyMachine(const std::vector<std::string>& policies,
+                        const core::RunnerConfig& runner) {
+  if (std::find(policies.begin(), policies.end(), "proposed") != policies.end()) {
+    core::requireProposedPolicyMachine(runner);
+  }
+}
+
 int compareCommand(const Options& options) {
   validateFlags(options, {"app", "dataset", "policies", "train", "live"});
   ConfigFile config;
@@ -520,8 +530,10 @@ int compareCommand(const Options& options) {
 
   TextTable table({"policy", "exec (s)", "avg T (C)", "peak T (C)", "TC-MTTF (y)",
                    "aging MTTF (y)", "dyn energy (kJ)"});
-  for (const std::string& name :
-       splitList(options.get("policies", "linux-ondemand,ge,proposed"))) {
+  const std::vector<std::string> policies =
+      splitList(options.get("policies", "linux-ondemand,ge,proposed"));
+  checkPolicyMachine(policies, runnerConfig);
+  for (const std::string& name : policies) {
     PolicyBundle bundle = makePolicy(name, config);
     superviseIfRequested(options, bundle);
     if (isLearningPolicy(name)) {
@@ -573,6 +585,7 @@ int runCommand(const Options& options) {
   if (resume) runnerConfig.resumeCheckpoint = options.get("resume", "");
   core::PolicyRunner runner(runnerConfig);
 
+  checkPolicyMachine({options.get("policy", "linux-ondemand")}, runnerConfig);
   PolicyBundle bundle = makePolicy(options.get("policy", "linux-ondemand"), config);
   superviseIfRequested(options, bundle);
   const int trainPasses = std::stoi(options.get("train", "3"));
@@ -683,6 +696,7 @@ int sweepCommand(const Options& options) {
       splitList(options.get("policies", "linux-ondemand,ge,proposed"));
   expects(!families.empty(), "sweep: --apps required");
   expects(!policies.empty(), "sweep: --policies must name at least one policy");
+  checkPolicyMachine(policies, runnerConfig);
 
   // Grid order (apps outer, policies inner) fixes the output row order and
   // the per-run child seeds, independent of how the runs land on threads.
@@ -815,6 +829,7 @@ int faultsCommand(const Options& options) {
 
   bench::FaultCampaignOptions campaign;
   campaign.runner = core::runnerConfigFrom(config);
+  core::requireProposedPolicyMachine(campaign.runner);  // the campaign runs proposed
   if (options.has("big-little")) {
     campaign.runner.machine.coreTypes = platform::bigLittleCoreTypes();
   }
@@ -905,6 +920,7 @@ int trainCommand(const Options& options) {
     runnerConfig.machine.coreTypes = platform::bigLittleCoreTypes();
   }
   loadFaults(options, runnerConfig);
+  core::requireProposedPolicyMachine(runnerConfig);
   const std::string out = options.get("out", "policy.ckpt");
   runnerConfig.saveCheckpointAtEnd = out;
   const core::PolicyRunner runner(runnerConfig);
@@ -913,8 +929,8 @@ int trainCommand(const Options& options) {
   if (options.has("seed")) {
     managerConfig.seed = static_cast<std::uint64_t>(std::stoull(options.get("seed", "42")));
   }
-  auto manager = std::make_unique<core::ThermalManager>(managerConfig,
-                                                        core::ActionSpace::standard(4));
+  auto manager = std::make_unique<core::ThermalManager>(
+      managerConfig, core::ActionSpace::standard(core::kProposedPolicyCores));
   core::ThermalManager* managerPtr = manager.get();
   PolicyBundle bundle;
   bundle.manager = managerPtr;
