@@ -2,8 +2,9 @@
 # CI correctness driver: build + test under ASan/UBSan with runtime contracts
 # enabled, gate the fault-injection and checkpoint-store suites, lint the
 # scenario files, smoke the train/inspect workflow, vet the parallel sweep
-# engine under TSan, then run the project lint and (when available)
-# clang-tidy. Any finding fails the script. See docs/ANALYSIS.md.
+# engine and the fleet service under TSan, then run the project lint and
+# (when available) clang-tidy. Any finding fails the script. See
+# docs/ANALYSIS.md.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -114,10 +115,21 @@ else
   echo "python3 not found on PATH; the ctest acceptance suite above already gated the campaign."
 fi
 
-echo "== [9/14] concurrency tests under TSan (ctest -L concurrency) =="
+echo "== [9/14] concurrency + fleet tests under TSan (ctest -L concurrency, -L serve) =="
+# Fleet tenants run core::Simulation on the service's pool workers, so the
+# serve suite runs under TSan next to the parallel-execution tests. Same
+# vacuity guard as the other label gates: a lost label fails the script.
 cmake --preset tsan >/dev/null
-cmake --build --preset tsan -j "${JOBS}" --target rltherm_concurrency_tests
-ctest --preset tsan -L concurrency -j "${JOBS}"
+cmake --build --preset tsan -j "${JOBS}" \
+  --target rltherm_concurrency_tests rltherm_serve_tests
+for LABEL in concurrency serve; do
+  TSAN_COUNT="$(ctest --preset tsan -L "${LABEL}" -N | sed -n 's/^Total Tests: //p')"
+  if [ "${TSAN_COUNT:-0}" -eq 0 ]; then
+    echo "no tests carry the '${LABEL}' label under tsan; the TSan gate is vacuous"
+    exit 1
+  fi
+  ctest --preset tsan -L "${LABEL}" -j "${JOBS}"
+done
 
 echo "== [10/14] events-JSONL smoke (rltherm_cli --events) =="
 EVENTS_TMP="$(mktemp /tmp/rltherm_events.XXXXXX.jsonl)"

@@ -1,197 +1,13 @@
 #include "core/runner.hpp"
 
-#include <algorithm>
-#include <cstdint>
-#include <optional>
 #include <utility>
 
-#include <type_traits>
-
 #include "common/error.hpp"
-#include "core/manager_checkpoint.hpp"
-#include "obs/events.hpp"
-#include "obs/metrics.hpp"
-#include "obs/session.hpp"
+#include "core/simulation.hpp"
 #include "resil/replicated_driver.hpp"
 #include "workload/multi_app.hpp"
 
 namespace rltherm::core {
-namespace {
-
-void emitRunStart(const RunResult& result) {
-  if (obs::events() != nullptr) {
-    obs::emit(obs::Event{.name = "runner.run.start",
-                         .simTime = 0.0,
-                         .fields = {
-                             obs::field("policy", result.policyName),
-                             obs::field("scenario", result.scenarioName),
-                         }});
-  }
-}
-
-/// Shared result finalization: trims warm-up/teardown windows, runs the
-/// reliability analysis and copies the energy/counter accounting.
-void finalizeResult(const RunnerConfig& config, const platform::Machine& machine,
-                    RunResult& result) {
-  const reliability::ReliabilityAnalyzer analyzer(config.analyzer);
-  const auto skipHead =
-      static_cast<std::size_t>(config.analysisWarmup / config.traceInterval);
-  const auto skipTail =
-      static_cast<std::size_t>(config.analysisCooldown / config.traceInterval);
-  std::vector<std::vector<Celsius>> analyzed;
-  analyzed.reserve(result.coreTraces.size());
-  for (const std::vector<Celsius>& trace : result.coreTraces) {
-    if (trace.size() > (skipHead + skipTail) * 2) {
-      analyzed.emplace_back(trace.begin() + static_cast<std::ptrdiff_t>(skipHead),
-                            trace.end() - static_cast<std::ptrdiff_t>(skipTail));
-    } else {
-      analyzed.push_back(trace);
-    }
-  }
-  result.reliability = analyzer.analyzeChip(analyzed, config.traceInterval);
-
-  const power::EnergyMeter& meter = machine.energyMeter();
-  result.dynamicEnergy = meter.dynamicEnergy();
-  result.staticEnergy = meter.staticEnergy();
-  result.averageDynamicPower = meter.averageDynamicPower();
-  result.averageTotalPower = meter.averageTotalPower();
-  result.counters = machine.perfCounters().sample();
-
-  if (obs::MetricsRegistry* metrics = obs::metrics()) {
-    metrics->counter("runner.runs.complete").add();
-    metrics->gauge("runner.duration.last").set(result.duration);
-    metrics->gauge("runner.energy.dynamic").set(result.dynamicEnergy);
-  }
-  if (obs::events() != nullptr) {
-    obs::emit(obs::Event{
-        .name = "runner.run.finish",
-        .simTime = result.duration,
-        .fields = {
-            obs::field("policy", result.policyName),
-            obs::field("scenario", result.scenarioName),
-            obs::field("duration_s", result.duration),
-            obs::field("timed_out", result.timedOut),
-            obs::field("completions", static_cast<std::int64_t>(result.completions.size())),
-            obs::field("avg_temp_c", static_cast<double>(result.reliability.averageTemp)),
-            obs::field("peak_temp_c", static_cast<double>(result.reliability.peakTemp)),
-            obs::field("cycling_mttf_y", result.reliability.cyclingMttfYears),
-            obs::field("aging_mttf_y", result.reliability.agingMttfYears),
-            obs::field("dynamic_energy_j", result.dynamicEnergy),
-            obs::field("static_energy_j", result.staticEnergy),
-            obs::field("avg_total_power_w", result.averageTotalPower),
-        }});
-  }
-}
-
-/// Shared sequential-scenario loop, parameterized on the driver type
-/// (workload::WorkloadDriver or resil::ReplicatedDriver — both expose the
-/// same tick()/completions()/appJustSwitched() protocol). Keeping ONE loop
-/// guarantees the replicated path inherits every runner invariant:
-/// always-read sensors, fault gating, checkpoint hooks, trace cadence.
-template <typename DriverT>
-RunResult runSequential(const RunnerConfig& config, const workload::Scenario& scenario,
-                        ThermalPolicy& policy) {
-  platform::Machine machine(config.machine);
-  constexpr bool kReplicated = std::is_same_v<DriverT, resil::ReplicatedDriver>;
-  DriverT driver = [&]() -> DriverT {
-    if constexpr (kReplicated) {
-      config.replication->validate();
-      return DriverT(machine, scenario, *config.replication);
-    } else {
-      return DriverT(machine, scenario);
-    }
-  }();
-  // Fault wiring (inactive and allocation-free for an empty plan). The
-  // injector is declared after the machine so it detaches before the
-  // machine is destroyed.
-  std::optional<fault::FaultInjector> injector;
-  std::optional<fault::GatedWorkloadControl> gatedControl;
-  if (!config.faults.empty()) {
-    injector.emplace(config.faults);
-    injector->attach(machine);
-    gatedControl.emplace(driver, *injector);
-  }
-  workload::WorkloadControl& control =
-      gatedControl.has_value() ? static_cast<workload::WorkloadControl&>(*gatedControl)
-                               : driver;
-  PolicyContext ctx{machine, control};
-
-  RunResult result;
-  result.policyName = policy.name();
-  result.scenarioName = scenario.name;
-  result.traceInterval = config.traceInterval;
-  result.coreTraces.assign(machine.coreCount(), {});
-  emitRunStart(result);
-
-  if (!config.resumeCheckpoint.empty()) {
-    resumePolicyFromCheckpoint(policy, config.resumeCheckpoint);
-  }
-  policy.onStart(ctx);
-
-  Seconds nextSample = policy.samplingInterval() > 0.0 ? policy.samplingInterval() : -1.0;
-  Seconds nextTrace = config.traceInterval;
-
-  bool running = true;
-  while (running && machine.now() < config.maxSimTime) {
-    running = driver.tick();
-    if (injector.has_value()) injector->advanceTo(machine.now());
-
-    if (driver.appJustSwitched() && policy.wantsAppSwitchSignal()) {
-      policy.onAppSwitch(ctx);
-    }
-
-    const Seconds now = machine.now();
-    if (nextSample > 0.0 && now + 1e-9 >= nextSample) {
-      // The sensors are ALWAYS read — a dropped delivery must not perturb
-      // the sensor RNG stream, or fault scenarios would not be comparable
-      // against their clean baseline.
-      std::vector<Celsius> readings = machine.readSensors();
-      bool deliver = true;
-      if (injector.has_value()) {
-        auto filtered = injector->filterSample(now, std::move(readings));
-        if (filtered.has_value()) {
-          readings = std::move(*filtered);
-        } else {
-          deliver = false;
-        }
-      }
-      if (deliver) {
-        policy.onSample(ctx, readings);
-        if (obs::MetricsRegistry* metrics = obs::metrics()) {
-          metrics->counter("runner.samples.deliver").add();
-        }
-      }
-      machine.perfCounters().recordMonitoringOverhead(
-          config.monitorCacheMissesPerSample, config.monitorPageFaultsPerSample);
-      // Re-read the interval: adaptive-sampling policies change it online.
-      nextSample += std::max(policy.samplingInterval(), machine.tickLength());
-    }
-    if (now + 1e-9 >= nextTrace) {
-      const std::vector<Celsius> truth = machine.trueCoreTemperatures();
-      for (std::size_t c = 0; c < truth.size(); ++c) {
-        result.coreTraces[c].push_back(truth[c]);
-      }
-      nextTrace += config.traceInterval;
-    }
-  }
-
-  result.timedOut = running;  // loop exited on time, not completion
-  result.duration = machine.now();
-  result.completions = driver.completions();
-  if (injector.has_value()) result.faultStats = injector->stats();
-  if constexpr (kReplicated) {
-    result.deliveredIterations = driver.deliveredIterations();
-    result.taintedIterations = driver.taintedIterations();
-    result.finalDeliveredRatio = driver.deliveredWorkRatio();
-  }
-  finalizeResult(config, machine, result);
-  if (!config.saveCheckpointAtEnd.empty()) {
-    savePolicyCheckpointOf(policy, config.saveCheckpointAtEnd);
-  }
-  return result;
-}
-
-}  // namespace
 
 PolicyRunner::PolicyRunner(RunnerConfig config) : config_(std::move(config)) {
   expects(config_.traceInterval > 0.0, "traceInterval must be > 0");
@@ -201,100 +17,31 @@ PolicyRunner::PolicyRunner(RunnerConfig config) : config_(std::move(config)) {
 RunResult PolicyRunner::run(const workload::Scenario& scenario,
                             ThermalPolicy& policy) const {
   if (config_.replication.has_value()) {
-    return runSequential<resil::ReplicatedDriver>(config_, scenario, policy);
+    Simulation<resil::ReplicatedDriver> sim(config_, /*trace=*/true, policy,
+                                            scenario.name, scenario,
+                                            *config_.replication);
+    sim.advanceTo(config_.maxSimTime);
+    return sim.finish();
   }
-  return runSequential<workload::WorkloadDriver>(config_, scenario, policy);
+  Simulation<workload::WorkloadDriver> sim(config_, /*trace=*/true, policy, scenario.name,
+                                           scenario);
+  sim.advanceTo(config_.maxSimTime);
+  return sim.finish();
 }
 
 RunResult PolicyRunner::runConcurrent(const std::vector<workload::AppSpec>& apps,
                                       ThermalPolicy& policy, Seconds duration) const {
   expects(duration > 0.0, "runConcurrent: duration must be > 0");
-  platform::Machine machine(config_.machine);
-  workload::MultiAppDriver driver(machine, apps, /*restartFinished=*/true);
-  std::optional<fault::FaultInjector> injector;
-  std::optional<fault::GatedWorkloadControl> gatedControl;
-  if (!config_.faults.empty()) {
-    injector.emplace(config_.faults);
-    injector->attach(machine);
-    gatedControl.emplace(driver, *injector);
-  }
-  workload::WorkloadControl& control =
-      gatedControl.has_value() ? static_cast<workload::WorkloadControl&>(*gatedControl)
-                               : driver;
-  PolicyContext ctx{machine, control};
-
-  RunResult result;
-  result.policyName = policy.name();
-  result.scenarioName = "concurrent";
-  for (const workload::AppSpec& app : apps) {
-    result.scenarioName += "+" + app.family;
-  }
-  result.traceInterval = config_.traceInterval;
-  result.coreTraces.assign(machine.coreCount(), {});
-  emitRunStart(result);
-
-  if (!config_.resumeCheckpoint.empty()) {
-    resumePolicyFromCheckpoint(policy, config_.resumeCheckpoint);
-  }
-  policy.onStart(ctx);
-
-  Seconds nextSample = policy.samplingInterval() > 0.0 ? policy.samplingInterval() : -1.0;
-  Seconds nextTrace = config_.traceInterval;
-
-  while (machine.now() < duration) {
-    (void)driver.tick();
-    if (injector.has_value()) injector->advanceTo(machine.now());
-    if (driver.appJustSwitched() && policy.wantsAppSwitchSignal()) {
-      policy.onAppSwitch(ctx);
-    }
-    const Seconds now = machine.now();
-    if (nextSample > 0.0 && now + 1e-9 >= nextSample) {
-      std::vector<Celsius> readings = machine.readSensors();
-      bool deliver = true;
-      if (injector.has_value()) {
-        auto filtered = injector->filterSample(now, std::move(readings));
-        if (filtered.has_value()) {
-          readings = std::move(*filtered);
-        } else {
-          deliver = false;
-        }
-      }
-      if (deliver) {
-        policy.onSample(ctx, readings);
-        if (obs::MetricsRegistry* metrics = obs::metrics()) {
-          metrics->counter("runner.samples.deliver").add();
-        }
-      }
-      machine.perfCounters().recordMonitoringOverhead(
-          config_.monitorCacheMissesPerSample, config_.monitorPageFaultsPerSample);
-      // Re-read the interval: adaptive-sampling policies change it online.
-      nextSample += std::max(policy.samplingInterval(), machine.tickLength());
-    }
-    if (now + 1e-9 >= nextTrace) {
-      const std::vector<Celsius> truth = machine.trueCoreTemperatures();
-      for (std::size_t c = 0; c < truth.size(); ++c) {
-        result.coreTraces[c].push_back(truth[c]);
-      }
-      nextTrace += config_.traceInterval;
-    }
-  }
-
-  result.duration = machine.now();
-  result.timedOut = false;  // the fixed window is the intended stop
-  if (injector.has_value()) result.faultStats = injector->stats();
-  for (std::size_t i = 0; i < driver.appCount(); ++i) {
-    result.completions.push_back(workload::AppCompletion{
-        .name = driver.spec(i).name,
-        .startTime = 0.0,
-        .endTime = result.duration,
-        .iterations = driver.totalIterations(i),
-    });
-  }
-  finalizeResult(config_, machine, result);
-  if (!config_.saveCheckpointAtEnd.empty()) {
-    savePolicyCheckpointOf(policy, config_.saveCheckpointAtEnd);
-  }
-  return result;
+  expects(!config_.replication.has_value(),
+          "runConcurrent: replication is not supported in concurrent mode; "
+          "clear RunnerConfig::replication");
+  std::string scenarioName = "concurrent";
+  for (const workload::AppSpec& app : apps) scenarioName += "+" + app.family;
+  Simulation<workload::MultiAppDriver> sim(config_, /*trace=*/true, policy,
+                                           std::move(scenarioName), apps,
+                                           /*restartFinished=*/true);
+  sim.advanceTo(duration);
+  return sim.finish();
 }
 
 }  // namespace rltherm::core

@@ -112,7 +112,7 @@ class PolicyRunner {
   /// all `apps` SIMULTANEOUSLY in server mode (each restarts when it
   /// finishes) for a fixed simulated `duration`. The result's completions
   /// hold one synthetic record per application slot with the iterations it
-  /// accumulated over the window.
+  /// accumulated over the window. Rejects a RunnerConfig::replication plan.
   [[nodiscard]] RunResult runConcurrent(const std::vector<workload::AppSpec>& apps,
                                         ThermalPolicy& policy,
                                         Seconds duration) const;

@@ -7,7 +7,7 @@
 //             clearFault calls exactly when simulated time crosses the
 //             window edges (the bank already models stuck/offset/dead/noisy
 //             channels; the injector only schedules them),
-//   samples   the runner routes every sensor delivery through
+//   samples   the simulation routes every sensor delivery through
 //             filterSample(), which can drop a pass (sample.drop) or serve a
 //             stale one from its history buffer (sample.late),
 //   actuation machine-wide governor requests run through a
@@ -21,13 +21,16 @@
 // sensor.noise_burst is deterministic too: the extra noise is drawn from the
 // SensorBank's own seeded RNG stream.
 //
-// Ordering contract with the runner, per tick:
+// Ordering contract with core::Simulation (the closed loop), per tick:
 //
-//   machine.tick() → injector.advanceTo(machine.now()) → [readSensors() →
-//   injector.filterSample(...) → policy.onSample(...)]
+//   driver.tick() → injector.advanceTo(machine.now()) → policy.onAppSwitch
+//   → [readSensors() → injector.filterSample(...) → policy.onSample(...) →
+//   monitoring-overhead charge] → ground-truth trace
 //
 // so window edges take effect before the sample that lands on them, and any
 // deferred DVFS transition due this tick is applied before the policy acts.
+// The sensors are read even when the delivery is dropped, so the sensor RNG
+// stream stays comparable with the clean baseline.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +73,8 @@ class FaultInjector {
 
   /// Bind to the machine under test: checks every sensor event's channel
   /// against the real core count and installs the governor interposer. The
-  /// machine must outlive the injector (the runner declares the injector
-  /// after the machine).
+  /// machine must outlive the injector (the simulation declares the
+  /// injector after the machine).
   void attach(platform::Machine& machine);
 
   /// Remove the governor interposer (idempotent; also done on destruction).
@@ -141,8 +144,8 @@ class FaultInjector {
 
 /// WorkloadControl wrapper that drops affinity requests while an
 /// affinity.fail window is active; everything else forwards to the inner
-/// control. The runner substitutes this into the PolicyContext when a plan
-/// is present.
+/// control. The simulation substitutes this into the PolicyContext when a
+/// plan is present.
 class GatedWorkloadControl final : public workload::WorkloadControl {
  public:
   GatedWorkloadControl(workload::WorkloadControl& inner, FaultInjector& injector)

@@ -7,14 +7,13 @@
 
 #include "common/error.hpp"
 #include "core/action_space.hpp"
-#include "core/policy.hpp"
 #include "core/runner.hpp"
+#include "core/simulation.hpp"
 #include "core/thermal_manager.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
 #include "obs/timeline.hpp"
-#include "platform/machine.hpp"
 #include "store/policy_checkpoint.hpp"
 #include "workload/app_spec.hpp"
 #include "workload/driver.hpp"
@@ -74,43 +73,23 @@ struct FleetService::Tenant {
   std::uint64_t fingerprint = 0;
   bool warmStart = false;
 
-  std::unique_ptr<platform::Machine> machine;
-  std::unique_ptr<workload::WorkloadDriver> driver;
-  std::unique_ptr<core::ThermalManager> manager;
+  std::unique_ptr<core::ThermalManager> manager;  ///< outlives the simulation
+  std::unique_ptr<core::Simulation<workload::WorkloadDriver>> sim;
 
-  Seconds nextSample = 0.0;
   std::size_t epochsAtStart = 0;  ///< warm-start prefix length in the epoch log
-  std::size_t samples = 0;
-  Celsius peakTemp = 0.0;
   bool done = false;
   double firstDecisionMs = -1.0;
 
-  /// One slice of the control loop, mirroring PolicyRunner's sequential
-  /// tick/sample protocol (core/runner.cpp) minus the evaluation-only parts
-  /// (ground-truth tracing, fault injection, monitoring-overhead counters).
-  /// Runs under a private EMPTY observability session: tenant-internal
-  /// telemetry is uniformly silent whether the slice executes inline
-  /// (jobs=1) or on a pool worker, so the ambient stream never depends on
-  /// the jobs count.
+  /// One slice of the runner's closed loop. Runs under a private EMPTY
+  /// observability session: tenant-internal telemetry is uniformly silent
+  /// whether the slice executes inline (jobs=1) or on a pool worker, so the
+  /// ambient stream never depends on the jobs count.
   void advance(Seconds slice, Seconds maxSimTime) {
     if (done) return;
     obs::Session quiet;
     const obs::ScopedSession guard(quiet);
-    core::PolicyContext ctx{*machine, *driver, nullptr};
-    const Seconds limit = std::min(machine->now() + slice, maxSimTime);
-    bool running = !driver->done();
-    while (running && machine->now() < limit) {
-      running = driver->tick();
-      const Seconds now = machine->now();
-      if (now + 1e-9 >= nextSample) {
-        const std::vector<Celsius> readings = machine->readSensors();
-        for (const Celsius reading : readings) peakTemp = std::max(peakTemp, reading);
-        manager->onSample(ctx, readings);
-        ++samples;
-        nextSample += std::max(manager->samplingInterval(), machine->tickLength());
-      }
-    }
-    if (!running || machine->now() >= maxSimTime) done = true;
+    sim->advanceTo(std::min(sim->now() + slice, maxSimTime));
+    if (!sim->running() || sim->now() >= maxSimTime) done = true;
   }
 
   [[nodiscard]] std::size_t decisions() const {
@@ -126,11 +105,11 @@ struct FleetService::Tenant {
     s.fingerprint = fingerprint;
     s.warmStart = warmStart;
     s.done = done;
-    s.simTime = machine->now();
+    s.simTime = sim->now();
     s.decisions = decisions();
-    s.samples = samples;
-    s.completions = driver->completions().size();
-    s.peakTemp = peakTemp;
+    s.samples = sim->samples();
+    s.completions = sim->driver().completions().size();
+    s.peakTemp = sim->peakReading();
     s.firstDecisionMs = firstDecisionMs;
 
     std::uint64_t h = kFnvOffset;
@@ -149,9 +128,9 @@ struct FleetService::Tenant {
       h = fnvMix(h, static_cast<std::uint64_t>((r.intraDetected ? 1U : 0U) |
                                                (r.interDetected ? 2U : 0U)));
     }
-    h = fnvMix(h, machine->now());
+    h = fnvMix(h, s.simTime);
     h = fnvMix(h, static_cast<std::uint64_t>(s.completions));
-    h = fnvMix(h, static_cast<std::uint64_t>(samples));
+    h = fnvMix(h, static_cast<std::uint64_t>(s.samples));
     s.traceHash = h;
     return s;
   }
@@ -302,24 +281,20 @@ void FleetService::processAdmission(const QueuedAdmit& queued, PassReport& repor
       *cached, "warm-start cache entry " + fingerprintHex(fingerprint));
   manager->restoreFromCheckpoint(checkpoint);
 
-  platform::MachineConfig machineConfig;
-  machineConfig.sensorSeed = request.seed;
-  tenant->machine = std::make_unique<platform::Machine>(machineConfig);
-  tenant->driver = std::make_unique<workload::WorkloadDriver>(
-      *tenant->machine,
-      workload::Scenario::of({workload::makeApp(request.family, request.dataset)}));
   tenant->manager = std::move(manager);
   tenant->fingerprint = fingerprint;
   tenant->warmStart = warm;
-
   {
-    // Run-boundary start, under the same quiet session as every later slice.
+    // Run-boundary start under the quiet session of every later slice. No
+    // ground-truth trace, so a tenant's memory does not grow with sim time.
     obs::Session quiet;
     const obs::ScopedSession guard(quiet);
-    core::PolicyContext ctx{*tenant->machine, *tenant->driver, nullptr};
-    tenant->manager->onStart(ctx);
+    core::RunnerConfig runnerConfig;
+    runnerConfig.machine.sensorSeed = request.seed;
+    tenant->sim = std::make_unique<core::Simulation<workload::WorkloadDriver>>(
+        std::move(runnerConfig), /*trace=*/false, *tenant->manager, request.family,
+        workload::Scenario::of({workload::makeApp(request.family, request.dataset)}));
   }
-  tenant->nextSample = tenant->manager->samplingInterval();
   tenant->epochsAtStart = tenant->manager->epochCount();
 
   if (obs::MetricsRegistry* metrics = obs::metrics()) {
@@ -387,10 +362,10 @@ PassReport FleetService::runPass() {
       if (obs::EventSink* sink = obs::events()) {
         sink->record(obs::Event{
             "serve.tenant.complete",
-            tenant->machine->now(),
+            tenant->sim->now(),
             {obs::field("tenant", tenant->request.tenant),
              obs::field("decisions", static_cast<std::int64_t>(tenant->decisions())),
-             obs::field("sim_time", tenant->machine->now())}});
+             obs::field("sim_time", tenant->sim->now())}});
       }
     }
   }

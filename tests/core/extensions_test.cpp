@@ -81,6 +81,22 @@ TEST(RunConcurrentTest, InvalidDurationRejected) {
                PreconditionError);
 }
 
+TEST(RunConcurrentTest, ReplicationRejected) {
+  // Concurrent mode has no replicated driver; a replication plan must fail
+  // loudly instead of being ignored.
+  RunnerConfig config = fastRunner();
+  config.replication = resil::ReplicationPlan{};
+  PolicyRunner runner(config);
+  StaticGovernorPolicy policy({platform::GovernorKind::Ondemand, 0.0});
+  try {
+    (void)runner.runConcurrent({tinyApp("a")}, policy, 10.0);
+    FAIL() << "runConcurrent accepted a replication plan";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("replication"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(AdaptiveSamplingTest, DisabledKeepsFixedInterval) {
   PolicyRunner runner(fastRunner());
   ThermalManagerConfig config;

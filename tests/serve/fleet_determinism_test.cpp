@@ -4,15 +4,24 @@
 // cover the warm-start cache (one training per config family, eviction forces
 // a retrain, LRU capacity), bounded-admission back-pressure with golden
 // reasons, slice invariance, and the long-lived pool's idle-drain contract.
+// One more pins that a tenant IS the runner's loop: its trace equals a
+// PolicyRunner run of the same restored policy, seed, app and window.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/action_space.hpp"
+#include "core/runner.hpp"
+#include "core/thermal_manager.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
 #include "serve/fleet.hpp"
+#include "store/policy_checkpoint.hpp"
+#include "workload/app_spec.hpp"
 
 namespace rltherm::serve {
 namespace {
@@ -258,6 +267,105 @@ TEST(FleetDeterminismTest, RunUntilIdleFinishesEveryTenantAndDrainsThePool) {
   EXPECT_EQ(metrics.counter("serve.cache.hit").value(), 2u);
   EXPECT_EQ(metrics.gauge("serve.tenants.active").value(), 0.0);
   EXPECT_GT(metrics.histogram("serve.admit.latency", 0.0, 5000.0, 100).count(), 0u);
+}
+
+/// Forwards to a ThermalManager and counts the sensor passes it receives.
+class CountingPolicy final : public core::ThermalPolicy {
+ public:
+  explicit CountingPolicy(core::ThermalManager& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  Seconds samplingInterval() const override { return inner_.samplingInterval(); }
+  void onStart(core::PolicyContext& ctx) override { inner_.onStart(ctx); }
+  void onSample(core::PolicyContext& ctx, std::span<const Celsius> temps) override {
+    ++samples;
+    inner_.onSample(ctx, temps);
+  }
+  std::size_t samples = 0;
+
+ private:
+  core::ThermalManager& inner_;
+};
+
+/// The fleet's traceHash recipe (FNV-1a over the post-restore epoch records,
+/// then sim time, completions and samples), recomputed independently.
+std::uint64_t traceHashOf(std::span<const core::EpochRecord> records, Seconds simTime,
+                          std::size_t completions, std::size_t samples) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 64; i += 8) {
+      h ^= (v >> i) & 0xffULL;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const core::EpochRecord& r : records) {
+    mix(std::bit_cast<std::uint64_t>(r.time));
+    mix(static_cast<std::uint64_t>(r.state));
+    mix(static_cast<std::uint64_t>(r.action));
+    mix(std::bit_cast<std::uint64_t>(r.stress));
+    mix(std::bit_cast<std::uint64_t>(r.aging));
+    mix(std::bit_cast<std::uint64_t>(r.reward));
+    mix(std::bit_cast<std::uint64_t>(r.alpha));
+    mix(static_cast<std::uint64_t>(r.phase));
+    mix(std::bit_cast<std::uint64_t>(r.qCoverage));
+    mix(static_cast<std::uint64_t>((r.intraDetected ? 1U : 0U) |
+                                   (r.interDetected ? 2U : 0U)));
+  }
+  mix(std::bit_cast<std::uint64_t>(simTime));
+  mix(static_cast<std::uint64_t>(completions));
+  mix(static_cast<std::uint64_t>(samples));
+  return h;
+}
+
+/// Rebuilds the tenant's manager from the warm-start cache and runs it
+/// through PolicyRunner over the tenant's window; the result must match the
+/// tenant record for record.
+void expectTenantMatchesRunner(FleetService& service, const AdmitRequest& request) {
+  const auto status = service.query(request.tenant);
+  ASSERT_TRUE(status.has_value());
+  const auto cached = service.cache().find(status->fingerprint);
+  ASSERT_TRUE(cached.has_value());
+
+  core::ThermalManagerConfig managerConfig;
+  managerConfig.gamma = request.gamma;
+  managerConfig.stressBins = request.stressBins;
+  managerConfig.agingBins = request.agingBins;
+  managerConfig.seed = request.seed;
+  core::ThermalManager manager(managerConfig, core::ActionSpace::standard(4));
+  manager.restoreFromCheckpoint(store::loadPolicyCheckpointFromBuffer(*cached, "cache"));
+  const std::size_t epochsAtStart = manager.epochCount();
+
+  core::RunnerConfig runnerConfig;
+  runnerConfig.machine.sensorSeed = request.seed;
+  runnerConfig.maxSimTime = status->simTime;
+  CountingPolicy counting(manager);
+  const core::RunResult result = core::PolicyRunner(runnerConfig).run(
+      workload::Scenario::of({workload::makeApp(request.family, request.dataset)}),
+      counting);
+
+  const std::span<const core::EpochRecord> records =
+      std::span(manager.epochLog()).subspan(epochsAtStart);
+  EXPECT_EQ(result.duration, status->simTime);
+  EXPECT_EQ(result.completions.size(), status->completions);
+  EXPECT_EQ(records.size(), status->decisions);
+  EXPECT_EQ(counting.samples, status->samples);
+  EXPECT_EQ(traceHashOf(records, result.duration, result.completions.size(),
+                        counting.samples),
+            status->traceHash);
+}
+
+TEST(FleetDeterminismTest, TenantMatchesPolicyRunnerRun) {
+  FleetService service(fastConfig(1));
+  ASSERT_TRUE(service.submit(probeRequest()).accepted);
+  for (int p = 0; p < 3; ++p) (void)service.runPass();
+  ASSERT_GE(service.query("probe")->decisions, 2u);  // vacuity guard
+  expectTenantMatchesRunner(service, probeRequest());
+
+  (void)service.runUntilIdle();
+  const auto finished = service.query("probe");
+  ASSERT_TRUE(finished.has_value());
+  ASSERT_TRUE(finished->done);
+  EXPECT_EQ(finished->completions, 1u);  // finished by completion, not the cap
+  expectTenantMatchesRunner(service, probeRequest());
 }
 
 }  // namespace
