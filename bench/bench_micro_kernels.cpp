@@ -19,6 +19,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -330,24 +331,32 @@ std::vector<JsonKernel> jsonKernels() {
     return 5000 * 0.01;
   }, stepGroup});
 
-  // The same loop through the baseline entry point, whatever step()
-  // dispatches to on this host: the step-kernel gate compares it with the
-  // dense reference and, on an AVX2 host, with rc_step_grid64_leaky.
-  kernels.push_back({"rc_step_grid64_baseline", 5000, [] {
-    thermal::GridPackage pkg = grid64();
-    pkg.prepare(0.01);
-    thermal::RcNetwork& net = pkg.network();
-    const thermal::PreparedStep& op = *net.preparedOperator();
-    std::vector<double> next(op.offset.size());
-    std::vector<Watts> power(pkg.coreCount());
-    for (int i = 0; i < 5000; ++i) {
-      leakyCorePower(pkg, power);
-      thermal::applyTilesBaseline(op, net.temperatures().data(), power.data(),
-                                  next.data());
-      net.setTemperatures(std::span<const double>(next).first(op.nodes));
-    }
-    return 5000 * 0.01;
-  }, stepGroup});
+  // The same loop through one named entry point, whatever step()
+  // dispatches to on this host: the baseline lane, which the step-kernel
+  // gate compares with the dense reference and with rc_step_grid64_leaky,
+  // and on a host with AVX2 the AVX2 lane, which the gate holds to the same
+  // ratio over the baseline when step() takes a wider kernel.
+  const auto entryPointLoop = [](thermal::StepKernelFn apply) {
+    return [apply] {
+      thermal::GridPackage pkg = grid64();
+      pkg.prepare(0.01);
+      thermal::RcNetwork& net = pkg.network();
+      const thermal::PreparedStep& op = *net.preparedOperator();
+      std::vector<double> next(op.offset.size());
+      std::vector<Watts> power(pkg.coreCount());
+      for (int i = 0; i < 5000; ++i) {
+        leakyCorePower(pkg, power);
+        apply(op, net.temperatures().data(), power.data(), next.data());
+        net.setTemperatures(std::span<const double>(next).first(op.nodes));
+      }
+      return 5000 * 0.01;
+    };
+  };
+  for (const thermal::StepKernel& entry : thermal::hostStepKernels()) {
+    if (std::strcmp(entry.name, "avx512") == 0) continue;  // rc_step_grid64_leaky
+    kernels.push_back({std::string("rc_step_grid64_") + entry.name, 5000,
+                       entryPointLoop(entry.apply), stepGroup});
+  }
 
   kernels.push_back({"rc_step_grid64_reference", 5000,
                      [reference = std::make_shared<const DenseStep>(grid64())] {

@@ -63,6 +63,8 @@ Machine::Machine(const MachineConfig& config)
   windowTicks_.assign(config.coreCount, 0);
   lastRunning_.assign(config.coreCount, std::nullopt);
   corePowerScratch_.assign(config.coreCount, 0.0);
+  coreMeanScratch_.assign(config.coreCount, 0.0);
+  corePeakScratch_.assign(config.coreCount, 0.0);
   executed_.reserve(config.coreCount);
   for (const power::OperatingPoint& op : vfTable_.points()) {
     leakageVoltageScale_.push_back(leakageModel_.voltageScale(op.voltage));
@@ -114,12 +116,16 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
   const Seconds dt = config_.tick;
   const Hertz fmax = vfTable_.highest().frequency;
 
+  // Per-core cell aggregates, once per tick: the throttle check and the
+  // leakage term both read the pre-step temperatures.
+  package_.coreTemperatures(coreMeanScratch_, corePeakScratch_);
+
   // Hardware thermal protection (PROCHOT): engage the clamp the moment a
   // junction crosses the trip temperature, release below the hysteresis
   // band. The clamp overrides every software frequency request.
   if (config_.throttleTemp > 0.0) {
     for (std::size_t c = 0; c < config_.coreCount; ++c) {
-      const Celsius junction = package_.corePeakTemperature(c);
+      const Celsius junction = corePeakScratch_[c];
       if (!throttleActive_[c] && junction >= config_.throttleTemp) {
         throttleActive_[c] = true;
         ++throttleEvents_;
@@ -173,9 +179,9 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
       const auto point = static_cast<std::size_t>(&op - vfTable_.points().data());
       const CoreTypeSpec& type = coreType(c);
       const Watts dyn = dynamicModel_.power(op, activity) * type.dynamicPowerScale;
-      const Watts leak = leakageModel_.powerScaled(leakageVoltageScale_[point],
-                                                   package_.coreMeanTemperature(c)) *
-                         type.leakageScale;
+      const Watts leak =
+          leakageModel_.powerScaled(leakageVoltageScale_[point], coreMeanScratch_[c]) *
+          type.leakageScale;
       corePower[c] = dyn + leak;
       totalDynamic += dyn;
       totalStatic += leak;

@@ -237,9 +237,12 @@ class Machine {
   Seconds stallRemaining_ = 0.0;
   Seconds now_ = 0.0;
 
-  /// Per-tick scratch (power map fed to the thermal package, the executions
+  /// Per-tick scratch (power map fed to the thermal package, the per-core
+  /// mean and peak cell temperatures before the step, the executions
   /// TickResult views); members so tick() allocates nothing.
   std::vector<Watts> corePowerScratch_;
+  std::vector<Celsius> coreMeanScratch_;
+  std::vector<Celsius> corePeakScratch_;
   std::vector<ThreadExecution> executed_;
   /// LeakagePowerModel::voltageScale of each VF-table point, by index.
   std::vector<double> leakageVoltageScale_;

@@ -35,8 +35,8 @@
 
 namespace rltherm::thermal {
 
-/// Rows per tile of the packed operator: four 2-wide or two 4-wide SIMD
-/// accumulators (step_kernel.hpp).
+/// Rows per tile of the packed operator: four 2-wide, two 4-wide or one
+/// 8-wide SIMD accumulator (step_kernel.hpp).
 inline constexpr std::size_t kTileRows = 8;
 
 /// Allocates on cache-line (64-byte) boundaries, so no SIMD load of a tile

@@ -115,24 +115,41 @@ std::vector<Watts> GridPackage::nodePower(std::span<const Watts> corePower) cons
   return inputMap_ * corePower;
 }
 
+inline GridPackage::CoreTemps GridPackage::reduceCore(std::size_t core) const {
+  const std::size_t cellsPerCore = side_ * side_;
+  RLTHERM_EXPECT(cellsPerCore > 0, "reduceCore: core must map to at least one cell");
+  const std::size_t* cell = coreCells_.data() + core * cellsPerCore;
+  const Celsius* temps = network_.temperatures().data();
+  Celsius sum = temps[cell[0]];
+  Celsius peak = sum;
+  for (std::size_t i = 1; i < cellsPerCore; ++i) {
+    const Celsius t = temps[cell[i]];
+    sum += t;
+    peak = std::max(peak, t);
+  }
+  const Celsius mean = sum / static_cast<double>(cellsPerCore);
+  RLTHERM_ENSURE(std::isfinite(mean), "reduceCore: mean must be finite");
+  return CoreTemps{.mean = mean, .peak = peak};
+}
+
 Celsius GridPackage::coreMeanTemperature(std::size_t core) const {
-  const std::span<const std::size_t> cells = coreCells(core);
-  RLTHERM_EXPECT(!cells.empty(), "coreMeanTemperature: core must map to at least one cell");
-  Celsius sum = network_.temperature(cells.front());
-  for (const std::size_t node : cells.subspan(1)) sum += network_.temperature(node);
-  const Celsius mean = sum / static_cast<double>(cells.size());
-  RLTHERM_ENSURE(std::isfinite(mean), "coreMeanTemperature: mean must be finite");
-  return mean;
+  expects(core < coreCount_, "coreMeanTemperature: core out of range");
+  return reduceCore(core).mean;
 }
 
 Celsius GridPackage::corePeakTemperature(std::size_t core) const {
-  const std::span<const std::size_t> cells = coreCells(core);
-  RLTHERM_EXPECT(!cells.empty(), "corePeakTemperature: core must map to at least one cell");
-  Celsius peak = network_.temperature(cells.front());
-  for (const std::size_t node : cells.subspan(1)) {
-    peak = std::max(peak, network_.temperature(node));
+  expects(core < coreCount_, "corePeakTemperature: core out of range");
+  return reduceCore(core).peak;
+}
+
+void GridPackage::coreTemperatures(std::span<Celsius> mean, std::span<Celsius> peak) const {
+  expects(mean.size() == coreCount_ && peak.size() == coreCount_,
+          "coreTemperatures: spans must hold one value per core");
+  for (std::size_t core = 0; core < coreCount_; ++core) {
+    const CoreTemps t = reduceCore(core);
+    mean[core] = t.mean;
+    peak[core] = t.peak;
   }
-  return peak;
 }
 
 }  // namespace rltherm::thermal

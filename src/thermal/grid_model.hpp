@@ -95,6 +95,11 @@ class GridPackage {
   [[nodiscard]] Celsius coreMeanTemperature(std::size_t core) const;
   [[nodiscard]] Celsius corePeakTemperature(std::size_t core) const;
 
+  /// Every core's mean and peak in one pass over the cells: mean[c] and
+  /// peak[c] equal coreMeanTemperature(c) and corePeakTemperature(c) bit for
+  /// bit. Both spans hold coreCount() values.
+  void coreTemperatures(std::span<Celsius> mean, std::span<Celsius> peak) const;
+
   [[nodiscard]] std::size_t spreaderNode() const noexcept { return spreaderNode_; }
   [[nodiscard]] std::size_t sinkNode() const noexcept { return sinkNode_; }
 
@@ -104,6 +109,14 @@ class GridPackage {
   /// Position of cell (row, col) in coreCells_, or coreCells_.size() when
   /// the cell lies outside the die or under no core.
   [[nodiscard]] std::size_t cellSlot(std::size_t row, std::size_t col) const noexcept;
+
+  struct CoreTemps {
+    Celsius mean;
+    Celsius peak;
+  };
+  /// The one per-core reduction: the mean sums the cells in coreCells()
+  /// order, the peak is their running max. `core` must be < coreCount().
+  [[nodiscard]] CoreTemps reduceCore(std::size_t core) const;
 
   std::size_t coreCount_;
   std::size_t side_;

@@ -24,13 +24,15 @@
 //
 // [E | F] is packed into 8-row tiles stored column by column, and step()
 // walks each tile once with SIMD accumulators: 2-wide lanes, one tile per
-// pass, on the baseline ISA; 4-wide AVX2 lanes, two tiles per pass, for
-// operators of more than one tile on a host with AVX2 (step_kernel.hpp).
-// Every row is still summed in column order (E T, then F p + d, the two
-// added last) with no fused multiply-add, so both kernels give the same
-// bits, and with unit input columns the step is bit-identical to the
-// two-matvec form E T + Phi C^{-1} (P + G_amb T_amb). A classic RK4
-// integrator is provided as an independent cross-check for the tests.
+// pass, on the baseline ISA; for operators of more than one tile, the
+// widest entry point the host has: 4-wide AVX2 lanes in passes of up to
+// three tiles, or 8-wide AVX-512 lanes in passes of up to five, pass sizes
+// balanced so no pass is a lone tile (step_kernel.hpp). Every row is still
+// summed in column order (E T, then F p + d, the two added last) with no
+// fused multiply-add, so all kernels give the same bits, and with unit
+// input columns the step is bit-identical to the two-matvec form
+// E T + Phi C^{-1} (P + G_amb T_amb). A classic RK4 integrator is provided
+// as an independent cross-check for the tests.
 // Prepared operators are shared across networks through the process-wide
 // fingerprint-keyed cache (expop_cache.hpp).
 #pragma once

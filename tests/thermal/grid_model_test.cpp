@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "lumped_reference.hpp"
 
 namespace rltherm::thermal {
@@ -264,6 +268,46 @@ TEST_P(GridResolutionSweep, TotalHeatBalancesAtSteadyState) {
     const std::vector<Celsius> ss = pkg.network().steadyState(pkg.nodePower(power));
     const double sinkFlow = (ss[pkg.sinkNode()] - config.ambient) / config.sinkToAmbient;
     EXPECT_NEAR(sinkFlow, total, 1e-6);
+  }
+}
+
+TEST_P(GridResolutionSweep, BulkCoreTemperaturesMatchPerCoreReads) {
+  // coreTemperatures() fills every core's mean and peak in one pass; each
+  // must equal the single-core reads bit for bit, and both must equal the
+  // plain definition over coreCells(): the cell sum in that order divided
+  // by the cell count, and the largest cell. Core counts 1..5 cover a full
+  // and a partial last row of cores.
+  const std::size_t side = GetParam();
+  Rng rng(0xA66 + side);
+  for (std::size_t cores = 1; cores <= 5; ++cores) {
+    SCOPED_TRACE("cores = " + std::to_string(cores));
+    GridPackage pkg(GridThermalConfig{}, cores, side);
+    std::vector<Celsius> temps(pkg.network().nodeCount());
+    for (Celsius& t : temps) t = rng.uniform(20.0, 95.0);
+    pkg.network().setTemperatures(temps);
+
+    std::vector<Celsius> mean(cores);
+    std::vector<Celsius> peak(cores);
+    pkg.coreTemperatures(mean, peak);
+    for (std::size_t core = 0; core < cores; ++core) {
+      const std::span<const std::size_t> cells = pkg.coreCells(core);
+      Celsius sum = temps[cells.front()];
+      Celsius hottest = temps[cells.front()];
+      for (const std::size_t node : cells.subspan(1)) {
+        sum += temps[node];
+        hottest = std::max(hottest, temps[node]);
+      }
+      const Celsius expectedMean = sum / static_cast<double>(cells.size());
+      const Celsius singleMean = pkg.coreMeanTemperature(core);
+      const Celsius singlePeak = pkg.corePeakTemperature(core);
+      EXPECT_EQ(0, std::memcmp(&mean[core], &singleMean, sizeof(Celsius))) << "core " << core;
+      EXPECT_EQ(0, std::memcmp(&peak[core], &singlePeak, sizeof(Celsius))) << "core " << core;
+      EXPECT_EQ(0, std::memcmp(&mean[core], &expectedMean, sizeof(Celsius))) << "core " << core;
+      EXPECT_EQ(0, std::memcmp(&peak[core], &hottest, sizeof(Celsius))) << "core " << core;
+    }
+    std::vector<Celsius> shortSpan(cores - 1);
+    EXPECT_THROW(pkg.coreTemperatures(shortSpan, peak), PreconditionError);
+    EXPECT_THROW(pkg.coreTemperatures(mean, shortSpan), PreconditionError);
   }
 }
 

@@ -13,8 +13,9 @@
 //  - the bound is falsifiable: a deliberately wrong input-map weight (the
 //    canary) must BREAK it, proving the harness would catch a mis-folded
 //    operator rather than vacuously pass;
-//  - the AVX2 entry point (step_kernel.hpp) is bit-identical to the
-//    baseline one, tick for tick, on single- and multi-tile operators.
+//  - every wide entry point the host has (AVX2, AVX-512; step_kernel.hpp)
+//    is bit-identical to the baseline one, tick for tick, on single- and
+//    multi-tile operators.
 //
 // Inputs are leaky: every tick adds a temperature-dependent leakage term
 // to a plateau-shaped dynamic power, so the input changes on every tick as
@@ -24,6 +25,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -367,45 +369,90 @@ TEST(StepEquivalenceProperty, Rk4OracleAgreesWithBothPaths) {
   EXPECT_LT(worstKernel, 1e-3);
 }
 
-/// Steps the baseline and AVX2 entry points side by side on `net`'s
+/// The tile sizes of every pass of planPasses(tiles, maxTiles), in order.
+std::vector<std::size_t> passSizes(std::size_t tiles, std::size_t maxTiles) {
+  const PassPlan plan = planPasses(tiles, maxTiles);
+  std::vector<std::size_t> sizes;
+  for (std::size_t p = 0; p < plan.passes; ++p) sizes.push_back(plan.size(p));
+  return sizes;
+}
+
+// The pass plan all entry points share covers every tile once, in the
+// fewest passes of at most maxTiles tiles, with sizes differing by at most
+// one. From three tiles per pass up (AVX2: 3, AVX-512: 5), no operator of
+// two or more tiles gets a lone-tile pass.
+TEST(StepEquivalenceProperty, PassPlanIsBalancedWithNoLoneTail) {
+  for (std::size_t maxTiles = 1; maxTiles <= 6; ++maxTiles) {
+    for (std::size_t tiles = 1; tiles <= 70; ++tiles) {
+      SCOPED_TRACE("tiles = " + std::to_string(tiles) + ", max = " + std::to_string(maxTiles));
+      const std::vector<std::size_t> sizes = passSizes(tiles, maxTiles);
+      EXPECT_EQ(sizes.size(), (tiles + maxTiles - 1) / maxTiles);
+      std::size_t covered = 0;
+      for (const std::size_t size : sizes) covered += size;
+      EXPECT_EQ(covered, tiles);
+      const auto [smallest, largest] = std::minmax_element(sizes.begin(), sizes.end());
+      EXPECT_GE(*smallest, 1u);
+      EXPECT_LE(*largest, maxTiles);
+      EXPECT_LE(*largest - *smallest, 1u);
+      EXPECT_TRUE(std::is_sorted(sizes.rbegin(), sizes.rend()));
+      if (maxTiles >= 3 && tiles >= 2) {
+        EXPECT_GE(*smallest, 2u);
+      }
+    }
+  }
+  EXPECT_EQ(passSizes(9, 3), (std::vector<std::size_t>{3, 3, 3}));
+  EXPECT_EQ(passSizes(9, 4), (std::vector<std::size_t>{3, 3, 3}));
+  EXPECT_EQ(passSizes(9, 5), (std::vector<std::size_t>{5, 4}));
+  EXPECT_EQ(passSizes(33, 5), (std::vector<std::size_t>{5, 5, 5, 5, 5, 4, 4}));
+  EXPECT_TRUE(passSizes(0, 5).empty());
+}
+
+/// Steps every entry point this host supports side by side on `net`'s
 /// prepared operator over `ticks` leaky ticks, plus the network's own
-/// step(), and requires all three to agree bit for bit on every tick.
+/// step(), and requires each to agree with the baseline bit for bit on
+/// every tick.
 void expectWideMatchesBaseline(RcNetwork net, std::size_t ticks, std::uint64_t seed) {
   const PreparedStep& op = *net.preparedOperator();
-  std::vector<double> baseline(net.temperatures().begin(), net.temperatures().end());
-  std::vector<double> wide = baseline;
-  std::vector<double> baselineNext(op.offset.size());
-  std::vector<double> wideNext(op.offset.size());
+  const std::span<const StepKernel> kernels = hostStepKernels();
+  ASSERT_STREQ(kernels.front().name, "baseline");
+  // One state per entry point, each fed its own previous output.
+  std::vector<std::vector<double>> temps(
+      kernels.size(), std::vector<double>(net.temperatures().begin(), net.temperatures().end()));
+  std::vector<std::vector<double>> next(kernels.size(), std::vector<double>(op.offset.size()));
   Rng rng(seed);
   LeakyTrace trace(rng, op.inputs);
   for (std::size_t t = 0; t < ticks; ++t) {
-    const std::vector<Watts>& inputs = trace.at(t, baseline);
-    applyTilesBaseline(op, baseline.data(), inputs.data(), baselineNext.data());
-#if defined(__x86_64__)
-    applyTilesAvx2(op, wide.data(), inputs.data(), wideNext.data());
-#endif
+    const std::vector<Watts>& inputs = trace.at(t, temps.front());
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+      kernels[k].apply(op, temps[k].data(), inputs.data(), next[k].data());
+      ASSERT_EQ(0, std::memcmp(next.front().data(), next[k].data(),
+                               op.offset.size() * sizeof(double)))
+          << "n = " << op.nodes << ": the " << kernels[k].name
+          << " kernel diverged from the baseline at tick " << t;
+      std::copy_n(next[k].begin(), op.nodes, temps[k].begin());
+    }
     net.step(inputs);
-    ASSERT_EQ(0, std::memcmp(baselineNext.data(), wideNext.data(),
-                             baselineNext.size() * sizeof(double)))
-        << "n = " << op.nodes << ": the AVX2 kernel diverged at tick " << t;
-    ASSERT_EQ(0, std::memcmp(baselineNext.data(), net.temperatures().data(),
+    ASSERT_EQ(0, std::memcmp(next.front().data(), net.temperatures().data(),
                              op.nodes * sizeof(double)))
         << "n = " << op.nodes << ": step() (" << stepKernelName(op.nodes)
         << ") diverged at tick " << t;
-    std::copy_n(baselineNext.begin(), op.nodes, baseline.begin());
-    std::copy_n(wideNext.begin(), op.nodes, wide.begin());
   }
 }
 
-// (d) The wide kernel changes no simulated value: on the lumped package
-// (one tile), the 64-cell grid (9 tiles, an odd count: its last pass is a
-// single tile) and random networks of 9, 17 and 258 nodes (2, 3 and 33
-// tiles, each with a partial last tile).
+// (d) The wide kernels change no simulated value. Every entry point the
+// host has runs against the baseline on the lumped package (one tile), the
+// 64-cell grid (9 tiles) and random networks whose tile counts (2, 3, 5, 6,
+// 7, 8 and 33, each with a partial last tile) hit every remainder of the
+// AVX2 (3) and AVX-512 (5) pass sizes.
 TEST(StepEquivalenceProperty, WideKernelMatchesBaselineBitwise) {
-  if (std::strcmp(stepKernelName(66), "avx2") != 0) {
-    GTEST_SKIP() << "this host has no AVX2 kernel";
-  }
+  const std::span<const StepKernel> kernels = hostStepKernels();
+  if (kernels.size() == 1) GTEST_SKIP() << "this host has no wide kernel";
   ASSERT_STREQ(stepKernelName(6), "baseline");
+  ASSERT_STREQ(stepKernelName(66), kernels.back().name)
+      << "step() must take the widest entry point for a multi-tile operator";
+  if (std::strcmp(kernels.back().name, "avx512") == 0) {
+    ASSERT_EQ(kernels.size(), 3u) << "an AVX-512 host must also run the AVX2 kernel";
+  }
 
   GridPackage lumped(GridThermalConfig{}, 4, 1);
   lumped.prepare(kTick);
@@ -419,7 +466,7 @@ TEST(StepEquivalenceProperty, WideKernelMatchesBaselineBitwise) {
   expectWideMatchesBaseline(grid.network(), 12000, 0x6164);
 
   std::uint64_t seed = 0x51DE;
-  for (const std::size_t n : {9u, 17u, 258u}) {
+  for (const std::size_t n : {9u, 17u, 33u, 41u, 49u, 57u, 258u}) {
     Rng rng(seed++);
     RcNetwork net = buildRandomNetwork(rng, n);
     Matrix map(n, 4);
