@@ -263,8 +263,11 @@ echo "perf canary: 3x artificial slowdown caught as expected"
 # into stale cached operators, and that its win is the kernel, not the
 # cache. The wide-over-baseline ratios are only printed there: all lanes
 # prepare the same operator the same way, so the cache cannot favour any,
-# and with it off every rep of every lane also pays a cold prepare, which holds that ratio at 1.41-1.47 on a 4-vCPU
-# Xeon (1.71-1.86 with the cache on), too close to 1.3 to gate on.
+# and with it off every rep of every lane also pays a cold prepare, which
+# dilutes the ratio. Over 10 runs on a 4-vCPU Xeon with the vectorized cold
+# build it read 1.84-2.34 (AVX-512) and 1.53-1.95 (AVX2) with the cache off,
+# against 1.95-2.76 and 1.92-2.41 with it on; before that build, a cold
+# prepare held the cache-off ratio at 1.41-1.47.
 # A same-run ratio needs no cross-host baseline.
 if command -v python3 >/dev/null 2>&1; then
   check_fast_path() {

@@ -1,12 +1,96 @@
 #include "common/matrix.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <type_traits>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/isa.hpp"
 
 namespace rltherm {
+
+namespace {
+
+// Two doubles: one SSE2 register on the baseline x86-64 ISA; four: one AVX2
+// register; eight: one AVX-512 register (GCC/Clang vector extension).
+using Lane2 = double __attribute__((vector_size(16)));
+using Lane4 = double __attribute__((vector_size(32)));
+using Lane8 = double __attribute__((vector_size(64)));
+template <std::size_t Width>
+using LaneOf = std::conditional_t<Width == 8, Lane8, std::conditional_t<Width == 4, Lane4, Lane2>>;
+
+/// The one row-update body: y[j] += a * x[j] for j < n, `Width` values at a
+/// time, then the tail at half the width, down to one value at a time.
+/// Every element is one rounded product and one rounded add of its own, so
+/// the result is the same bits at any width. This file is compiled with
+/// -ffp-contract=off, so no entry point fuses the two, not even under a
+/// target that has FMA.
+template <std::size_t Width>
+[[gnu::always_inline]] inline void addScaledRow(double a, const double* x, double* y,
+                                                std::size_t n) noexcept {
+  using Lane = LaneOf<Width>;
+  std::size_t j = 0;
+  for (; j + Width <= n; j += Width) {
+    Lane xs;
+    Lane ys;
+    std::memcpy(&xs, x + j, sizeof(xs));
+    std::memcpy(&ys, y + j, sizeof(ys));
+    ys += a * xs;
+    std::memcpy(y + j, &ys, sizeof(ys));
+  }
+  if constexpr (Width > 2) {
+    addScaledRow<Width / 2>(a, x + j, y + j, n - j);
+  } else {
+    for (; j < n; ++j) y[j] += a * x[j];
+  }
+}
+
+// Each entry point is pinned to a cache line, so its loop's alignment, and
+// with it the cold-prepare time, does not depend on how much code the linker
+// places before this file.
+__attribute__((aligned(64))) void addScaledRowBaseline(double a, const double* x, double* y,
+                                                       std::size_t n) noexcept {
+  addScaledRow<2>(a, x, y, n);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] __attribute__((aligned(64))) void addScaledRowAvx2(
+    double a, const double* x, double* y, std::size_t n) noexcept {
+  addScaledRow<4>(a, x, y, n);
+}
+
+[[gnu::target("avx512f")]] __attribute__((aligned(64))) void addScaledRowAvx512(
+    double a, const double* x, double* y, std::size_t n) noexcept {
+  addScaledRow<8>(a, x, y, n);
+}
+#endif
+
+/// The widest row update the host runs; the product, the factorization and
+/// the multi-right-hand-side solve all take it.
+RowUpdateFn widestRowUpdate() noexcept {
+  static const RowUpdateFn kWidest = hostRowKernels().back().apply;
+  return kWidest;
+}
+
+}  // namespace
+
+std::span<const RowKernel> hostRowKernels() noexcept {
+  static const auto kHost = [] {
+    std::array<RowKernel, 3> all{};
+    std::size_t count = 0;
+    all[count++] = RowKernel{"baseline", &addScaledRowBaseline};
+#if defined(__x86_64__)
+    if (hostHasAvx2()) all[count++] = RowKernel{"avx2", &addScaledRowAvx2};
+    if (hostHasAvx512()) all[count++] = RowKernel{"avx512", &addScaledRowAvx512};
+#endif
+    return std::pair{all, count};
+  }();
+  return std::span<const RowKernel>(kHost.first).first(kHost.second);
+}
 
 Matrix::Matrix(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
@@ -62,20 +146,19 @@ Matrix Matrix::operator-(const Matrix& other) const {
   return result;
 }
 
-// The O(n^3) product dominates a cold RcNetwork::prepare. Its entry is
-// pinned to a cache line so the vectorized inner loop's alignment, and with
-// it the cold-prepare time (about 20% apart between the two 32-byte phases),
-// does not depend on how much code the linker places before this file.
-__attribute__((aligned(64))) Matrix Matrix::operator*(const Matrix& other) const {
+// The O(n^3) product dominates a cold RcNetwork::prepare. The i-k-j order
+// makes the innermost loop a row update, so each output element sums its
+// products in k order, as the textbook loop does, whatever the lane width.
+Matrix Matrix::operator*(const Matrix& other) const {
   expects(cols_ == other.rows_, "Matrix shape mismatch in *");
   Matrix result(rows_, other.cols_);
+  const RowUpdateFn addScaled = widestRowUpdate();
   for (std::size_t i = 0; i < rows_; ++i) {
+    double* out = result.row(i).data();
     for (std::size_t k = 0; k < cols_; ++k) {
       const double aik = (*this)(i, k);
       if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < other.cols_; ++j) {
-        result(i, j) += aik * other(k, j);
-      }
+      addScaled(aik, other.row(k).data(), out, other.cols_);
     }
   }
   return result;
@@ -136,6 +219,7 @@ bool Matrix::approxEquals(const Matrix& other, double tol) const noexcept {
 LuFactorization::LuFactorization(const Matrix& a) : n_(a.rows()), lu_(a), perm_(a.rows()) {
   expects(a.square(), "LU factorization requires a square matrix");
   std::iota(perm_.begin(), perm_.end(), std::size_t{0});
+  const RowUpdateFn addScaled = widestRowUpdate();
   for (std::size_t col = 0; col < n_; ++col) {
     // Partial pivot: pick the largest magnitude entry in this column.
     std::size_t pivot = col;
@@ -153,11 +237,15 @@ LuFactorization::LuFactorization(const Matrix& a) : n_(a.rows()), lu_(a), perm_(
       std::swap(perm_[pivot], perm_[col]);
       pivotSign_ = -pivotSign_;
     }
+    // Row `row` -= factor * row `col`, right of the pivot. y - f*x and
+    // y + (-f)*x round the same under round-to-nearest, so the row update
+    // takes the negated factor.
     const double diag = lu_(col, col);
+    const double* pivotRow = lu_.row(col).data() + col + 1;
     for (std::size_t row = col + 1; row < n_; ++row) {
       const double factor = lu_(row, col) / diag;
       lu_(row, col) = factor;
-      for (std::size_t j = col + 1; j < n_; ++j) lu_(row, j) -= factor * lu_(col, j);
+      addScaled(-factor, pivotRow, lu_.row(row).data() + col + 1, n_ - col - 1);
     }
   }
 }
@@ -182,12 +270,22 @@ std::vector<double> LuFactorization::solve(std::span<const double> b) const {
 
 Matrix LuFactorization::solve(const Matrix& b) const {
   expects(b.rows() == n_, "LU solve: matrix right-hand side row mismatch");
-  Matrix x(n_, b.cols());
-  std::vector<double> column(n_);
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    for (std::size_t i = 0; i < n_; ++i) column[i] = b(i, j);
-    const std::vector<double> solved = solve(column);
-    for (std::size_t i = 0; i < n_; ++i) x(i, j) = solved[i];
+  // Both substitutions run on every column at once, a row of X at a time:
+  // each column sees the subtractions of solve(span), in the same order,
+  // then the same division, so it gets the same bits.
+  const std::size_t m = b.cols();
+  Matrix x(n_, m);
+  const RowUpdateFn addScaled = widestRowUpdate();
+  for (std::size_t i = 0; i < n_; ++i) {
+    double* xi = x.row(i).data();
+    std::copy_n(b.row(perm_[i]).data(), m, xi);
+    for (std::size_t j = 0; j < i; ++j) addScaled(-lu_(i, j), x.row(j).data(), xi, m);
+  }
+  for (std::size_t i = n_; i-- > 0;) {
+    double* xi = x.row(i).data();
+    for (std::size_t j = i + 1; j < n_; ++j) addScaled(-lu_(i, j), x.row(j).data(), xi, m);
+    const double diag = lu_(i, i);
+    for (std::size_t c = 0; c < m; ++c) xi[c] /= diag;
   }
   return x;
 }

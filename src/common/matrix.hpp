@@ -1,13 +1,20 @@
 // Small dense linear-algebra kit for the RC thermal network.
 //
-// The thermal networks in this library are tiny (a handful of nodes per
-// core plus package nodes), so a simple row-major dense matrix with LU
-// factorization and a scaling-and-squaring matrix exponential is both
-// sufficient and easy to verify. The related-work section of the paper notes
-// that RC thermal models are "difficult to solve using direct mathematical
-// techniques such as LU decomposition" at scale; at our node counts LU is
-// exact and cheap, and the precomputed matrix exponential makes each
+// A row-major dense matrix with LU factorization (partial pivoting) and a
+// scaling-and-squaring matrix exponential. RcNetwork::prepare builds its
+// exact step operator from these once per (network, step, input map): expm
+// plus two LU solves, O(n^3) in the node count, with n from 6 (the lumped
+// quad-core) to a few hundred (fine grids). The related-work section of the
+// paper notes that RC thermal models are "difficult to solve using direct
+// mathematical techniques such as LU decomposition" at scale; at these node
+// counts LU is exact, and the precomputed matrix exponential makes each
 // simulation step a single matrix-vector product.
+//
+// The O(n^3) loops (the product, the elimination and the multi-right-hand-
+// side solve) each reduce to one row update, y += a x, which runs through
+// the widest entry point the host has (hostRowKernels()). The update is
+// element-wise, so every entry point gives the same bits, and the results
+// equal those of the textbook scalar loops.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +50,14 @@ class Matrix {
   }
 
   [[nodiscard]] std::span<const double> data() const noexcept { return data_; }
+
+  /// Row r: cols() contiguous values.
+  [[nodiscard]] std::span<double> row(std::size_t r) noexcept {
+    return {data_.data() + r * cols_, cols_};
+  }
+  [[nodiscard]] std::span<const double> row(std::size_t r) const noexcept {
+    return {data_.data() + r * cols_, cols_};
+  }
 
   Matrix& operator+=(const Matrix& other);
   Matrix& operator-=(const Matrix& other);
@@ -86,7 +101,8 @@ class LuFactorization {
   /// Solve A x = b for x. b.size() must equal the matrix dimension.
   [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
 
-  /// Solve A X = B column-by-column.
+  /// Solve A X = B. Every column of X equals solve(span) of that column of
+  /// B, bit for bit; the substitutions run on all columns at once.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 
   /// Determinant (product of U diagonal with pivot sign).
@@ -98,6 +114,20 @@ class LuFactorization {
   std::vector<std::size_t> perm_;  // row permutation
   int pivotSign_ = 1;
 };
+
+/// y[j] += a * x[j] for j < n: the row update under the dense O(n^3) loops.
+/// x and y must not overlap.
+using RowUpdateFn = void (*)(double a, const double* x, double* y, std::size_t n) noexcept;
+
+struct RowKernel {
+  const char* name;  ///< "baseline", "avx2" or "avx512"
+  RowUpdateFn apply;
+};
+
+/// Every entry point of the row update this host can run, baseline (2-wide
+/// lanes) first and widest last (4-wide AVX2, 8-wide AVX-512F). All give
+/// the same bits; the matrix routines take the last.
+[[nodiscard]] std::span<const RowKernel> hostRowKernels() noexcept;
 
 /// Matrix inverse via LU (only used for small package matrices).
 [[nodiscard]] Matrix inverse(const Matrix& a);

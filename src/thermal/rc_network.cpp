@@ -8,6 +8,7 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "common/isa.hpp"
 #include "obs/timeline.hpp"
 #include "thermal/expop_cache.hpp"
 #include "thermal/step_kernel.hpp"
@@ -199,22 +200,6 @@ template <typename Lane, std::size_t MaxTiles>
   applyTiles<Lane2, 1>(op, temps, inputs, out);
 }
 
-#if defined(__x86_64__)
-// Each detected once, before main(). Should a static initializer elsewhere
-// step a network first, it sees false and takes the bit-identical baseline.
-const bool kHasAvx2 = [] {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") != 0;
-}();
-const bool kHasAvx512 = [] {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx512f") != 0;
-}();
-#else
-constexpr bool kHasAvx2 = false;
-constexpr bool kHasAvx512 = false;
-#endif
-
 enum class Kernel { Baseline, Avx2, Avx512 };
 
 /// step()'s dispatch rule: an operator of more than one tile takes the
@@ -223,8 +208,10 @@ enum class Kernel { Baseline, Avx2, Avx512 };
 /// once it spans several tiles.
 Kernel kernelFor(std::size_t nodes) noexcept {
   if (nodes <= kTileRows) return Kernel::Baseline;
-  if (kHasAvx512) return Kernel::Avx512;
-  return kHasAvx2 ? Kernel::Avx2 : Kernel::Baseline;
+  static const Kernel kWidest = hostHasAvx512() ? Kernel::Avx512
+                                : hostHasAvx2()   ? Kernel::Avx2
+                                                  : Kernel::Baseline;
+  return kWidest;
 }
 
 }  // namespace
@@ -258,8 +245,8 @@ std::span<const StepKernel> hostStepKernels() noexcept {
     std::size_t count = 0;
     all[count++] = StepKernel{"baseline", &applyTilesBaseline};
 #if defined(__x86_64__)
-    if (kHasAvx2) all[count++] = StepKernel{"avx2", &applyTilesAvx2};
-    if (kHasAvx512) all[count++] = StepKernel{"avx512", &applyTilesAvx512};
+    if (hostHasAvx2()) all[count++] = StepKernel{"avx2", &applyTilesAvx2};
+    if (hostHasAvx512()) all[count++] = StepKernel{"avx512", &applyTilesAvx512};
 #endif
     return std::pair{all, count};
   }();
@@ -348,6 +335,7 @@ RcNetwork RcNetwork::Builder::build() const {
   }
   net.temps_.assign(n, ambient_);
   verifyConductanceMatrix(net.conductance_);
+  net.conductanceLu_ = std::make_shared<const LuFactorization>(net.conductance_);
   return net;
 }
 
@@ -476,10 +464,11 @@ void RcNetwork::stepRk4(std::span<const Watts> power, Seconds stepSize) {
 
 std::vector<Celsius> RcNetwork::steadyState(std::span<const Watts> power) const {
   expects(power.size() == nodes_.size(), "steadyState: power vector size mismatch");
+  expects(conductanceLu_ != nullptr, "steadyState: network not built by Builder::build()");
   const std::size_t n = nodes_.size();
   std::vector<double> rhs(n);
   for (std::size_t i = 0; i < n; ++i) rhs[i] = power[i] + ambientG_[i] * ambient_;
-  return LuFactorization(conductance_).solve(rhs);
+  return conductanceLu_->solve(rhs);
 }
 
 }  // namespace rltherm::thermal

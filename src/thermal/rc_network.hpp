@@ -130,7 +130,8 @@ class RcNetwork {
   /// cross-validation; ignores the input map, does not require prepare()).
   void stepRk4(std::span<const Watts> power, Seconds stepSize);
 
-  /// Steady-state temperatures under constant power (solves G T = P + amb).
+  /// Steady-state temperatures under constant power (solves G T = P + amb
+  /// with the LU of G that build() factors once per network).
   [[nodiscard]] std::vector<Celsius> steadyState(std::span<const Watts> power) const;
 
   /// The prepared step size, if prepare() has been called.
@@ -161,6 +162,9 @@ class RcNetwork {
   std::vector<NodeSpec> nodes_;
   Celsius ambient_ = 25.0;
   Matrix conductance_;             // G: Laplacian + ambient conductance diag
+  /// LU of G, factored once by build(); G never changes afterwards, so
+  /// copies of the network share it.
+  std::shared_ptr<const LuFactorization> conductanceLu_;
   std::vector<double> ambientG_;   // per-node conductance to ambient (1/R)
   std::vector<double> invCap_;     // 1 / capacitance per node
   std::vector<Celsius> temps_;

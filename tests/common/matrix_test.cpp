@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -235,6 +238,119 @@ TEST(MatrixTest, MultiplyIntoRejectsMismatchedSpans) {
   EXPECT_THROW(a.multiplyInto(v, bad), PreconditionError);
   a.multiplyInto(v, good);  // matching shapes pass
   EXPECT_DOUBLE_EQ(good[0], 0.0);
+}
+
+/// A value that exercises the corners of the row update: zeros of both
+/// signs, subnormals, and ordinary magnitudes of both signs.
+double edgyValue(Rng& rng) {
+  switch (rng.uniformInt(6)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:
+      return std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(1 + rng.uniformInt(1000));
+    case 3:
+      return -std::numeric_limits<double>::min() * rng.uniform(0.0, 1.0);  // subnormal
+    default:
+      return rng.uniform(-4.0, 4.0);
+  }
+}
+
+// Every entry point of the row update gives the baseline's bits: lengths
+// 1-70 cover every tail of the 2-, 4- and 8-wide lanes, 258 the largest
+// grid, and the scale factors include zeros, subnormals and values whose
+// product with x rounds (so a fused multiply-add would show).
+TEST(RowKernelTest, EveryEntryPointMatchesBaselineBitwise) {
+  const std::span<const RowKernel> kernels = hostRowKernels();
+  ASSERT_STREQ(kernels.front().name, "baseline");
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 70; ++n) lengths.push_back(n);
+  lengths.push_back(258);
+  const double scales[] = {0.0, -0.0, std::numeric_limits<double>::denorm_min(), -1.0 / 3.0,
+                           0.7853981633974483, 1e300};
+  Rng rng(0x80A7);
+  for (const std::size_t n : lengths) {
+    std::vector<double> x(n);
+    std::vector<double> y0(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      x[j] = edgyValue(rng);
+      y0[j] = edgyValue(rng);
+    }
+    for (const double a : scales) {
+      std::vector<double> expected = y0;
+      kernels.front().apply(a, x.data(), expected.data(), n);
+      for (const RowKernel& kernel : kernels) {
+        std::vector<double> y = y0;
+        kernel.apply(a, x.data(), y.data(), n);
+        EXPECT_EQ(0, std::memcmp(expected.data(), y.data(), n * sizeof(double)))
+            << kernel.name << " differs from the baseline at n = " << n << ", a = " << a;
+      }
+    }
+  }
+}
+
+// solve(Matrix) runs both substitutions on all columns at once; each column
+// must still get exactly the bits solve(span) gives it.
+TEST(LuTest, MultiRhsSolveMatchesColumnSolvesBitwise) {
+  Rng rng(0x501E);
+  for (const std::size_t n : {1u, 2u, 7u, 9u, 33u, 66u}) {
+    Matrix a = randomDiagonallyDominant(n, rng);
+    for (std::size_t i = 0; i < n; ++i) a(i, (i + 1) % n) += 3.0;  // force pivoting
+    const LuFactorization lu(a);
+    for (const std::size_t m : {1u, 4u, 17u, 66u}) {
+      Matrix b(n, m);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < m; ++j) b(i, j) = edgyValue(rng);
+      }
+      const Matrix x = lu.solve(b);
+      ASSERT_EQ(x.rows(), n);
+      ASSERT_EQ(x.cols(), m);
+      std::vector<double> column(n);
+      for (std::size_t j = 0; j < m; ++j) {
+        for (std::size_t i = 0; i < n; ++i) column[i] = b(i, j);
+        const std::vector<double> expected = lu.solve(column);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double got = x(i, j);
+          ASSERT_EQ(0, std::memcmp(&expected[i], &got, sizeof(double)))
+              << "n = " << n << ", m = " << m << ": X(" << i << ", " << j << ") = " << got
+              << ", solve(span) gives " << expected[i];
+        }
+      }
+    }
+  }
+}
+
+// The product keeps the i-k-j order and the zero skip of the scalar loop,
+// so it gives that loop's bits.
+TEST(MatrixTest, ProductMatchesScalarLoopBitwise) {
+  Rng rng(0x9E0D);
+  for (const std::size_t n : {1u, 5u, 8u, 13u, 66u}) {
+    Matrix a(n, n);
+    Matrix b(n, n + 3);
+    for (double& v : std::span<double>(&a(0, 0), n * n)) {
+      v = rng.uniformInt(4) == 0 ? 0.0 : edgyValue(rng);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n + 3; ++j) b(i, j) = edgyValue(rng);
+    }
+    Matrix expected(n, n + 3);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 0; k < n; ++k) {
+        if (a(i, k) == 0.0) continue;
+        for (std::size_t j = 0; j < n + 3; ++j) {
+          // Rounded on its own, whatever contraction this file is built with.
+          const volatile double product = a(i, k) * b(k, j);
+          expected(i, j) += product;
+        }
+      }
+    }
+    const Matrix got = a * b;
+    EXPECT_EQ(0, std::memcmp(expected.data().data(), got.data().data(),
+                             expected.data().size() * sizeof(double)))
+        << "n = " << n;
+  }
 }
 
 }  // namespace
