@@ -3,9 +3,9 @@
 //
 // Both arms replay the same seeded fault storm
 // (scenarios/fault_storm_replication.toml: a sensor burst foreshadows a
-// permanent core death, then a second core turns intermittent) through the
-// ReplicatedDriver, so delivered-work accounting is identical; the arms
-// differ ONLY in what the agent can see and do:
+// permanent core death, then a second core turns intermittent) in the
+// workload driver's replicated mode, so delivered-work accounting is
+// identical; the arms differ ONLY in what the agent can see and do:
 //
 //   supervisor   SafetySupervisor around the standard manager — no
 //                replication actions, health axis off, fixed decision

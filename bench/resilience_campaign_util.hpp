@@ -7,7 +7,7 @@
 // bit-identical-across-`--jobs` claim covers the gated numbers themselves.
 //
 // Both arms replay the same seeded fault storm
-// (scenarios/fault_storm_replication.toml) through the ReplicatedDriver, so
+// (scenarios/fault_storm_replication.toml) in replicated mode, so
 // delivered-work accounting is identical; the arms differ ONLY in what the
 // agent can see and do (see resilienceSpecs below).
 #pragma once
@@ -19,7 +19,6 @@
 #include "bench_util.hpp"
 #include "core/safety_supervisor.hpp"
 #include "fault/plan.hpp"
-#include "resil/replication.hpp"
 
 namespace rltherm::bench {
 
@@ -60,8 +59,8 @@ inline std::vector<exec::RunSpec> resilienceSpecs(const std::string& root) {
 
   core::RunnerConfig runner = defaultRunnerConfig();
   runner.faults = storm;
-  runner.replication = resil::ReplicationPlan{
-      .merge = resil::MergePolicy::FirstFinisher,
+  runner.replication = workload::ReplicationPlan{
+      .merge = workload::MergePolicy::FirstFinisher,
       .initialDegree = 1,
       .maxDegree = 3,
   };

@@ -56,8 +56,9 @@ ctest --preset asan-ubsan -L thermal -j "${JOBS}"
 
 echo "== [7/14] allocation-free tick gate (ctest -L alloc) =="
 # The counting-operator-new test pins zero heap allocations per steady-state
-# Machine::tick and WorkloadDriver::tick. Same vacuity guard as the other
-# label gates: a lost 'alloc' label fails the script.
+# Machine::tick and WorkloadDriver::tick, the driver in each mode:
+# sequential, replicated at degrees 1-3 and concurrent. Same vacuity guard
+# as the other label gates: a lost 'alloc' label fails the script.
 ALLOC_COUNT="$(ctest --preset asan-ubsan -L alloc -N | sed -n 's/^Total Tests: //p')"
 if [ "${ALLOC_COUNT:-0}" -eq 0 ]; then
   echo "no tests carry the 'alloc' label; the allocation-free tick gate is vacuous"

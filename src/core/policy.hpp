@@ -72,8 +72,9 @@ struct HealthSnapshot {
 
 struct PolicyContext {
   platform::Machine& machine;
-  /// The workload under management (sequential WorkloadDriver or concurrent
-  /// MultiAppDriver); supplies the performance signal and enforces affinity.
+  /// The workload under management (the WorkloadDriver in any mode, possibly
+  /// behind the fault layer's gate); supplies the performance signal and
+  /// enforces affinity.
   workload::WorkloadControl& workload;
   /// Per-core health published by a wrapping SafetySupervisor; null when the
   /// policy runs bare.

@@ -19,7 +19,6 @@
 #include "fault/plan.hpp"
 #include "platform/machine.hpp"
 #include "reliability/analyzer.hpp"
-#include "resil/replication.hpp"
 #include "workload/driver.hpp"
 
 namespace rltherm::core {
@@ -59,13 +58,12 @@ struct RunnerConfig {
   std::string resumeCheckpoint;
   std::string saveCheckpointAtEnd;
 
-  /// Resilience mode: when set, run() drives the scenario through a
-  /// resil::ReplicatedDriver (replicated thread groups + delivered-work
-  /// accounting) instead of the plain WorkloadDriver. The plan fixes the
-  /// merge policy and degree bounds; the live degree is an action
-  /// (workload::ReplicationRequest) chosen by the policy. Empty (the
-  /// default) leaves every existing run bit-identical.
-  std::optional<resil::ReplicationPlan> replication;
+  /// Resilience mode: when set, run() drives the scenario as groups of
+  /// replicas with delivered-work accounting (workload::WorkloadDriver's
+  /// replicated mode). The plan fixes the merge policy and degree bounds;
+  /// the live degree is an action (workload::ReplicationRequest) chosen by
+  /// the policy. Empty (the default) runs the scenario sequentially.
+  std::optional<workload::ReplicationPlan> replication;
 };
 
 struct RunResult {

@@ -3,28 +3,56 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <type_traits>
+#include <utility>
 
+#include "common/error.hpp"
 #include "core/manager_checkpoint.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
-#include "resil/replicated_driver.hpp"
-#include "workload/driver.hpp"
-#include "workload/multi_app.hpp"
 
 namespace rltherm::core {
 
-template <typename DriverT>
-workload::WorkloadControl& Simulation<DriverT>::attachFaults() {
+namespace {
+
+std::string concurrentName(const std::vector<workload::AppSpec>& apps) {
+  std::string name = "concurrent";
+  for (const workload::AppSpec& app : apps) name += "+" + app.family;
+  return name;
+}
+
+}  // namespace
+
+Simulation::Simulation(RunnerConfig config, bool trace, ThermalPolicy& policy,
+                       workload::Scenario scenario)
+    : config_(std::move(config)),
+      policy_(policy),
+      machine_(config_.machine),
+      driver_(machine_, scenario, config_.replication),
+      ctx_{machine_, attachFaults()} {
+  start(trace, std::move(scenario.name));
+}
+
+Simulation::Simulation(RunnerConfig config, bool trace, ThermalPolicy& policy,
+                       std::vector<workload::AppSpec> apps)
+    : config_(std::move(config)),
+      policy_(policy),
+      machine_(config_.machine),
+      driver_(machine_, apps, /*restartFinished=*/true),
+      ctx_{machine_, attachFaults()} {
+  expects(!config_.replication.has_value(),
+          "concurrent mode does not support replication; clear RunnerConfig::replication");
+  start(trace, concurrentName(apps));
+}
+
+workload::WorkloadControl& Simulation::attachFaults() {
   if (config_.faults.empty()) return driver_;
   injector_.emplace(config_.faults);
   injector_->attach(machine_);
   return gatedControl_.emplace(driver_, *injector_);
 }
 
-template <typename DriverT>
-void Simulation<DriverT>::start(bool trace, std::string scenarioName) {
+void Simulation::start(bool trace, std::string scenarioName) {
   result_.policyName = policy_.name();
   result_.scenarioName = std::move(scenarioName);
   result_.traceInterval = config_.traceInterval;
@@ -47,8 +75,7 @@ void Simulation<DriverT>::start(bool trace, std::string scenarioName) {
   if (policy_.samplingInterval() > 0.0) nextSample_ = policy_.samplingInterval();
 }
 
-template <typename DriverT>
-void Simulation<DriverT>::advanceTo(Seconds limit) {
+void Simulation::advanceTo(Seconds limit) {
   while (running_ && machine_.now() < limit) {
     running_ = driver_.tick();
     if (injector_.has_value()) injector_->advanceTo(machine_.now());
@@ -89,32 +116,17 @@ void Simulation<DriverT>::advanceTo(Seconds limit) {
   }
 }
 
-template <typename DriverT>
-RunResult Simulation<DriverT>::finish() {
+RunResult Simulation::finish() {
   RunResult& result = result_;
   result.duration = machine_.now();
-  if constexpr (std::is_same_v<DriverT, workload::MultiAppDriver>) {
-    // Server mode never completes: the fixed window is the intended stop,
-    // and each slot reports the iterations it accumulated over it.
-    result.timedOut = false;
-    for (std::size_t i = 0; i < driver_.appCount(); ++i) {
-      result.completions.push_back(workload::AppCompletion{
-          .name = driver_.spec(i).name,
-          .startTime = 0.0,
-          .endTime = result.duration,
-          .iterations = driver_.totalIterations(i),
-      });
-    }
-  } else {
-    result.timedOut = running_;  // stopped on time, not completion
-    result.completions = driver_.completions();
-  }
+  // Stopped on time, not completion; a run that never finishes is meant to
+  // stop at its limit.
+  result.timedOut = running_ && driver_.canFinish();
+  result.completions = driver_.completions();
   if (injector_.has_value()) result.faultStats = injector_->stats();
-  if constexpr (std::is_same_v<DriverT, resil::ReplicatedDriver>) {
-    result.deliveredIterations = driver_.deliveredIterations();
-    result.taintedIterations = driver_.taintedIterations();
-    result.finalDeliveredRatio = driver_.deliveredWorkRatio();
-  }
+  result.deliveredIterations = driver_.deliveredIterations();
+  result.taintedIterations = driver_.taintedIterations();
+  result.finalDeliveredRatio = driver_.deliveredWorkRatio();
 
   // Trim the warm-up/teardown windows, then analyse and account.
   const reliability::ReliabilityAnalyzer analyzer(config_.analyzer);
@@ -167,9 +179,5 @@ RunResult Simulation<DriverT>::finish() {
   }
   return std::move(result);
 }
-
-template class Simulation<workload::WorkloadDriver>;
-template class Simulation<resil::ReplicatedDriver>;
-template class Simulation<workload::MultiAppDriver>;
 
 }  // namespace rltherm::core

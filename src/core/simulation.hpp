@@ -7,42 +7,41 @@
 // advanced in slices is bit-identical to one advanced in a single call. The
 // per-tick order is the contract stated in fault/injector.hpp.
 //
-// A template over the driver, so tick() stays a direct call; explicitly
-// instantiated in simulation.cpp for workload::WorkloadDriver,
-// resil::ReplicatedDriver and workload::MultiAppDriver. Include the header
-// of the driver you use.
+// The constructor sets the workload driver's mode: a scenario runs
+// sequentially, or replicated under `config.replication`; a list of apps
+// runs concurrently. The driver reports its own completions, delivered-work
+// counts and whether it can finish, so the loop is the same for every mode.
 #pragma once
 
 #include <cstddef>
 #include <limits>
 #include <optional>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "core/policy.hpp"
 #include "core/runner.hpp"
 #include "fault/injector.hpp"
 #include "platform/machine.hpp"
+#include "workload/driver.hpp"
 
 namespace rltherm::core {
 
-template <typename DriverT>
 class Simulation {
  public:
-  /// Builds the machine, the driver (machine, driverArgs...) and the fault
-  /// wiring, then starts the run: `runner.run.start`, the checkpoint resume
-  /// when configured, policy.onStart. `trace` records the true core
-  /// temperatures every `config.traceInterval`. `policy` must outlive this.
-  template <typename... DriverArgs>
+  /// Builds the machine, the driver and the fault wiring, then starts the
+  /// run: `runner.run.start`, the checkpoint resume when configured,
+  /// policy.onStart. `scenario` runs sequentially, or replicated under
+  /// `config.replication`. `trace` records the true core temperatures every
+  /// `config.traceInterval`. `policy` must outlive this.
   Simulation(RunnerConfig config, bool trace, ThermalPolicy& policy,
-             std::string scenarioName, DriverArgs&&... driverArgs)
-      : config_(std::move(config)),
-        policy_(policy),
-        machine_(config_.machine),
-        driver_(machine_, std::forward<DriverArgs>(driverArgs)...),
-        ctx_{machine_, attachFaults()} {
-    start(trace, std::move(scenarioName));
-  }
+             workload::Scenario scenario);
+
+  /// Concurrent mode: every app of `apps` runs at once and restarts when it
+  /// finishes, so the run ends only at the advanceTo() limit. Rejects a
+  /// `config.replication` plan.
+  Simulation(RunnerConfig config, bool trace, ThermalPolicy& policy,
+             std::vector<workload::AppSpec> apps);
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
@@ -62,7 +61,7 @@ class Simulation {
   [[nodiscard]] std::size_t samples() const noexcept { return samples_; }
   /// Hottest sensor reading delivered to the policy (0 before the first).
   [[nodiscard]] Celsius peakReading() const noexcept { return peakReading_; }
-  [[nodiscard]] const DriverT& driver() const noexcept { return driver_; }
+  [[nodiscard]] const workload::WorkloadDriver& driver() const noexcept { return driver_; }
 
  private:
   /// Attaches the injector for a non-empty plan and returns the control the
@@ -73,7 +72,7 @@ class Simulation {
   RunnerConfig config_;
   ThermalPolicy& policy_;
   platform::Machine machine_;
-  DriverT driver_;
+  workload::WorkloadDriver driver_;
   // Declared after the machine so the injector detaches before the machine
   // is destroyed.
   std::optional<fault::FaultInjector> injector_;

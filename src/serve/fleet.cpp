@@ -74,7 +74,7 @@ struct FleetService::Tenant {
   bool warmStart = false;
 
   std::unique_ptr<core::ThermalManager> manager;  ///< outlives the simulation
-  std::unique_ptr<core::Simulation<workload::WorkloadDriver>> sim;
+  std::unique_ptr<core::Simulation> sim;
 
   std::size_t epochsAtStart = 0;  ///< warm-start prefix length in the epoch log
   bool done = false;
@@ -291,8 +291,8 @@ void FleetService::processAdmission(const QueuedAdmit& queued, PassReport& repor
     const obs::ScopedSession guard(quiet);
     core::RunnerConfig runnerConfig;
     runnerConfig.machine.sensorSeed = request.seed;
-    tenant->sim = std::make_unique<core::Simulation<workload::WorkloadDriver>>(
-        std::move(runnerConfig), /*trace=*/false, *tenant->manager, request.family,
+    tenant->sim = std::make_unique<core::Simulation>(
+        std::move(runnerConfig), /*trace=*/false, *tenant->manager,
         workload::Scenario::of({workload::makeApp(request.family, request.dataset)}));
   }
   tenant->epochsAtStart = tenant->manager->epochCount();

@@ -80,7 +80,7 @@ TEST(ActionSpaceTest, ApplySetsGovernorAndAffinity) {
         a.governor.kind == platform::GovernorKind::Userspace) {
       space.apply(i, machine, driver);
       EXPECT_EQ(machine.governorSetting(), a.governor);
-      const std::vector<ThreadId> ids = driver.current()->threadIds();
+      const std::vector<ThreadId> ids = driver.app()->threadIds();
       EXPECT_EQ(machine.scheduler().thread(ids[0]).affinity,
                 sched::AffinityMask::single(0));
       return;
@@ -98,7 +98,7 @@ TEST(ActionSpaceTest, ApplyFreePatternRestoresFullMask) {
   // Action 0 in the standard space is free/ondemand.
   EXPECT_EQ(space.action(0).pattern.name, "free");
   space.apply(0, machine, driver);
-  const std::vector<ThreadId> ids = driver.current()->threadIds();
+  const std::vector<ThreadId> ids = driver.app()->threadIds();
   EXPECT_EQ(machine.scheduler().thread(ids[0]).affinity, sched::AffinityMask::all(4));
 }
 

@@ -60,7 +60,7 @@ TEST(FixedAffinityPolicyTest, PinsCurrentAppThreads) {
   const auto patterns = workload::standardPatterns(4);
   FixedAffinityPolicy policy(patterns[1], {platform::GovernorKind::Ondemand, 0.0});
   policy.onStart(ctx);
-  const std::vector<ThreadId> ids = driver.current()->threadIds();
+  const std::vector<ThreadId> ids = driver.app()->threadIds();
   EXPECT_EQ(machine.scheduler().thread(ids[0]).affinity, sched::AffinityMask::single(0));
   EXPECT_GT(policy.samplingInterval(), 0.0);  // re-asserts periodically
 }

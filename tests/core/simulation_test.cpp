@@ -12,7 +12,6 @@
 
 #include "core/thermal_manager.hpp"
 #include "fault/plan.hpp"
-#include "resil/replicated_driver.hpp"
 #include "workload/app_spec.hpp"
 #include "workload/driver.hpp"
 
@@ -45,11 +44,8 @@ workload::Scenario scenario() {
       {workload::makeApp("mpeg_dec", 1), workload::makeApp("tachyon", 1)});
 }
 
-template <typename DriverT, typename... DriverArgs>
-RunResult slicedRun(const RunnerConfig& config, ThermalPolicy& policy,
-                    DriverArgs&&... driverArgs) {
-  Simulation<DriverT> sim(config, /*trace=*/true, policy, scenario().name, scenario(),
-                          std::forward<DriverArgs>(driverArgs)...);
+RunResult slicedRun(const RunnerConfig& config, ThermalPolicy& policy) {
+  Simulation sim(config, /*trace=*/true, policy, scenario());
   for (Seconds limit = kSlice; sim.running() && sim.now() < config.maxSimTime;
        limit += kSlice) {
     sim.advanceTo(std::min(limit, config.maxSimTime));
@@ -102,7 +98,7 @@ TEST(SimulationTest, SlicedAdvanceEqualsOneShot) {
     ThermalManager sliced = freshManager();
     const RunResult expected = PolicyRunner(config).run(scenario(), oneShot);
     ASSERT_GT(expected.duration, 4 * kSlice);  // vacuity: many slice boundaries
-    expectIdentical(slicedRun<workload::WorkloadDriver>(config, sliced), expected);
+    expectIdentical(slicedRun(config, sliced), expected);
     EXPECT_EQ(sliced.epochCount(), oneShot.epochCount());
   }
   for (const char* plan : {"combined_storm.toml", "sample_loss.toml"}) {
@@ -116,19 +112,17 @@ TEST(SimulationTest, SlicedAdvanceEqualsOneShot) {
     // Vacuity: the plan actually fired inside the window.
     const fault::FaultStats& fired = expected.faultStats;
     EXPECT_GT(fired.sensorFaultsApplied + fired.samplesDropped, 0u);
-    expectIdentical(slicedRun<workload::WorkloadDriver>(config, sliced), expected);
+    expectIdentical(slicedRun(config, sliced), expected);
   }
   {
     SCOPED_TRACE("replicated");
     RunnerConfig config = runnerConfig();
-    config.replication = resil::ReplicationPlan{.initialDegree = 2};
+    config.replication = workload::ReplicationPlan{.initialDegree = 2};
     ThermalManager oneShot = freshManager();
     ThermalManager sliced = freshManager();
     const RunResult expected = PolicyRunner(config).run(scenario(), oneShot);
     EXPECT_GT(expected.deliveredIterations, 0);
-    expectIdentical(
-        slicedRun<resil::ReplicatedDriver>(config, sliced, *config.replication),
-        expected);
+    expectIdentical(slicedRun(config, sliced), expected);
   }
 }
 

@@ -1,6 +1,7 @@
 // Pins the allocation-free tick: after warm-up, Machine::tick (scheduler,
 // power and leakage, counters, thermal step, governor window) and
-// WorkloadDriver::tick between application switches must not touch the heap.
+// WorkloadDriver::tick between application starts must not touch the heap,
+// in every driver mode: sequential, replicated at each degree, concurrent.
 //
 // The binary replaces the global allocation functions with counting ones,
 // which is why it is built on its own (ctest label `alloc`).
@@ -8,6 +9,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -135,7 +137,7 @@ TEST(TickAllocationTest, DriverTicksBetweenAppSwitchesAllocateNothing) {
   // Warm-up past two 20 s throughput windows, so the sample ring has
   // settled at its capacity and wrapped around.
   for (int i = 0; i < 5000; ++i) ASSERT_TRUE(driver.tick());
-  const workload::RunningApp* app = driver.current();
+  const workload::RunningApp* app = driver.app();
   ASSERT_NE(app, nullptr);
   const int iterationsBefore = app->iterationsCompleted();
 
@@ -143,9 +145,56 @@ TEST(TickAllocationTest, DriverTicksBetweenAppSwitchesAllocateNothing) {
     for (int i = 0; i < 3000; ++i) (void)driver.tick();
   });
   EXPECT_EQ(counted, 0u);
-  EXPECT_EQ(driver.current(), app) << "an app switch happened inside the window";
+  EXPECT_EQ(driver.app(), app) << "an app switch happened inside the window";
   EXPECT_GT(app->iterationsCompleted(), iterationsBefore);
-  EXPECT_GT(driver.currentThroughput(), 0.0);
+  EXPECT_GT(driver.throughput(), 0.0);
+}
+
+class SteadyReplicatedTick : public ::testing::TestWithParam<int> {};
+
+TEST_P(SteadyReplicatedTick, DriverTicksBetweenAppStartsAllocateNothing) {
+  platform::Machine machine{platform::MachineConfig{}};
+  workload::WorkloadDriver driver(machine, workload::Scenario::of({endlessApp()}),
+                                  workload::ReplicationPlan{.initialDegree = GetParam()});
+  // Warm-up past two 20 s windows, so the throughput and delivery rings
+  // have settled at their capacity and wrapped around.
+  for (int i = 0; i < 5000; ++i) ASSERT_TRUE(driver.tick());
+  ASSERT_EQ(driver.currentDegree(), GetParam());
+  const workload::RunningApp* app = driver.app();
+  ASSERT_NE(app, nullptr);
+  const std::int64_t deliveredBefore = driver.deliveredIterations();
+
+  const std::size_t counted = allocationsDuring([&] {
+    for (int i = 0; i < 3000; ++i) (void)driver.tick();
+  });
+  EXPECT_EQ(counted, 0u);
+  EXPECT_EQ(driver.app(), app) << "an app start happened inside the window";
+  EXPECT_GT(driver.deliveredIterations(), deliveredBefore);
+  EXPECT_GT(driver.throughput(), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Degrees, SteadyReplicatedTick, ::testing::Values(1, 2, 3));
+
+TEST(TickAllocationTest, ConcurrentDriverTicksBetweenAppStartsAllocateNothing) {
+  platform::Machine machine{platform::MachineConfig{}};
+  workload::WorkloadDriver driver(machine, {endlessApp(), endlessApp()},
+                                  /*restartFinished=*/true);
+  for (int i = 0; i < 5000; ++i) ASSERT_TRUE(driver.tick());
+  const workload::RunningApp* first = driver.app(0);
+  const workload::RunningApp* second = driver.app(1);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  const int iterationsBefore = driver.totalIterations(0) + driver.totalIterations(1);
+
+  const std::size_t counted = allocationsDuring([&] {
+    for (int i = 0; i < 3000; ++i) (void)driver.tick();
+  });
+  EXPECT_EQ(counted, 0u);
+  EXPECT_EQ(driver.app(0), first) << "an app restart happened inside the window";
+  EXPECT_EQ(driver.app(1), second) << "an app restart happened inside the window";
+  EXPECT_GT(driver.totalIterations(0) + driver.totalIterations(1), iterationsBefore);
+  EXPECT_GT(driver.throughput(0), 0.0);
+  EXPECT_GT(driver.throughput(1), 0.0);
 }
 
 }  // namespace

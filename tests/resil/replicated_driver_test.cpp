@@ -1,22 +1,22 @@
-// ReplicatedDriver unit tests: merge policies, delivered-work accounting
-// (credit vs taint), degree changes at group boundaries, and the avoid-mask
-// steering that moves running replicas off suspect cores immediately.
+// Replicated mode of the workload driver: merge policies, delivered-work
+// accounting (credit vs taint), degree changes at group boundaries, and the
+// avoid-mask steering that moves running replicas off suspect cores
+// immediately.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "platform/machine.hpp"
-#include "resil/replicated_driver.hpp"
-#include "resil/replication.hpp"
 #include "workload/app_spec.hpp"
+#include "workload/control.hpp"
 #include "workload/driver.hpp"
 
-namespace rltherm::resil {
+namespace rltherm::workload {
 namespace {
 
-workload::AppSpec tinyApp(int iterations = 40, int threads = 1) {
-  workload::AppSpec spec;
+AppSpec tinyApp(int iterations = 40, int threads = 1) {
+  AppSpec spec;
   spec.name = "tiny";
   spec.family = "tiny";
   spec.threadCount = threads;
@@ -38,7 +38,7 @@ platform::Machine quietMachine() {
 }
 
 /// Run the driver to completion (bounded so a regression cannot hang ctest).
-void drain(ReplicatedDriver& driver, std::size_t maxTicks = 4'000'000) {
+void drain(WorkloadDriver& driver, std::size_t maxTicks = 4'000'000) {
   std::size_t ticks = 0;
   while (driver.tick()) {
     ASSERT_LT(++ticks, maxTicks) << "driver did not finish";
@@ -69,7 +69,7 @@ TEST(ReplicationPlanTest, QuorumMatchesMergePolicy) {
 TEST(ReplicatedDriverTest, FaultFreeRatioIsOneAtAnyDegree) {
   for (const int degree : {1, 2, 3}) {
     platform::Machine machine = quietMachine();
-    ReplicatedDriver driver(machine, workload::Scenario::of({tinyApp()}),
+    WorkloadDriver driver(machine, Scenario::of({tinyApp()}),
                             ReplicationPlan{.initialDegree = degree});
     drain(driver);
     EXPECT_EQ(driver.taintedIterations(), 0) << "degree " << degree;
@@ -84,12 +84,12 @@ TEST(ReplicatedDriverTest, FaultFreeRatioIsOneAtAnyDegree) {
 
 TEST(ReplicatedDriverTest, DegreeOneMatchesThePlainDriverCompletions) {
   platform::Machine replicated = quietMachine();
-  ReplicatedDriver driver(replicated, workload::Scenario::of({tinyApp(), tinyApp(25)}),
+  WorkloadDriver driver(replicated, Scenario::of({tinyApp(), tinyApp(25)}),
                           ReplicationPlan{.initialDegree = 1});
   drain(driver);
 
   platform::Machine plainMachine = quietMachine();
-  workload::WorkloadDriver plain(plainMachine, workload::Scenario::of({tinyApp(), tinyApp(25)}));
+  WorkloadDriver plain(plainMachine, Scenario::of({tinyApp(), tinyApp(25)}));
   std::size_t guard = 0;
   while (plain.tick()) ASSERT_LT(++guard, 4'000'000u);
 
@@ -103,7 +103,7 @@ TEST(ReplicatedDriverTest, CoreDeathTaintsOnlyReplicasTouchingTheDeadCore) {
   platform::Machine machine = quietMachine();
   // Pin the single replica's thread footprint: degree 2, replicas rotate
   // across the free pattern, so both replicas run somewhere among the cores.
-  ReplicatedDriver driver(machine, workload::Scenario::of({tinyApp(200)}),
+  WorkloadDriver driver(machine, Scenario::of({tinyApp(200)}),
                           ReplicationPlan{.initialDegree = 2});
 
   // Let the group make progress, then retire core 0 (every replica of a
@@ -125,7 +125,7 @@ TEST(ReplicatedDriverTest, CoreDeathTaintsOnlyReplicasTouchingTheDeadCore) {
 
 TEST(ReplicatedDriverTest, RecoveryTaintsNothing) {
   platform::Machine machine = quietMachine();
-  ReplicatedDriver driver(machine, workload::Scenario::of({tinyApp(300)}),
+  WorkloadDriver driver(machine, Scenario::of({tinyApp(300)}),
                           ReplicationPlan{.initialDegree = 1});
   for (int i = 0; i < 1000; ++i) ASSERT_TRUE(driver.tick());
   machine.setCoreOnline(2, false);
@@ -139,10 +139,10 @@ TEST(ReplicatedDriverTest, RecoveryTaintsNothing) {
 
 TEST(ReplicatedDriverTest, DegreeChangeTakesEffectAtTheNextGroupBoundary) {
   platform::Machine machine = quietMachine();
-  ReplicatedDriver driver(machine, workload::Scenario::of({tinyApp(15), tinyApp(15)}),
+  WorkloadDriver driver(machine, Scenario::of({tinyApp(15), tinyApp(15)}),
                           ReplicationPlan{.initialDegree = 1, .maxDegree = 3});
   ASSERT_EQ(driver.currentDegree(), 1);
-  driver.applyReplication(workload::ReplicationRequest{.degree = 3});
+  driver.applyReplication(ReplicationRequest{.degree = 3});
   // The live group keeps its degree; the request is pending.
   EXPECT_EQ(driver.currentDegree(), 1);
   // Run until the second group starts (appJustSwitched flags the boundary).
@@ -158,9 +158,9 @@ TEST(ReplicatedDriverTest, DegreeChangeTakesEffectAtTheNextGroupBoundary) {
 
 TEST(ReplicatedDriverTest, DegreeRequestsAreClampedToThePlanCeiling) {
   platform::Machine machine = quietMachine();
-  ReplicatedDriver driver(machine, workload::Scenario::of({tinyApp(10), tinyApp(10)}),
+  WorkloadDriver driver(machine, Scenario::of({tinyApp(10), tinyApp(10)}),
                           ReplicationPlan{.initialDegree = 1, .maxDegree = 2});
-  driver.applyReplication(workload::ReplicationRequest{.degree = 3});
+  driver.applyReplication(ReplicationRequest{.degree = 3});
   std::size_t guard = 0;
   while (!driver.appJustSwitched()) {
     ASSERT_TRUE(driver.tick());
@@ -172,12 +172,12 @@ TEST(ReplicatedDriverTest, DegreeRequestsAreClampedToThePlanCeiling) {
 
 TEST(ReplicatedDriverTest, AvoidMaskSteersRunningReplicasImmediately) {
   platform::Machine machine = quietMachine();
-  ReplicatedDriver driver(machine, workload::Scenario::of({tinyApp(400, 2)}),
+  WorkloadDriver driver(machine, Scenario::of({tinyApp(400, 2)}),
                           ReplicationPlan{.initialDegree = 2});
   for (int i = 0; i < 500; ++i) ASSERT_TRUE(driver.tick());
 
   // Steer everything away from cores 0 and 1 while the group is running.
-  driver.applyReplication(workload::ReplicationRequest{
+  driver.applyReplication(ReplicationRequest{
       .degree = 2,
       .avoid = sched::AffinityMask::of({CoreId{0}, CoreId{1}}),
   });
@@ -192,8 +192,8 @@ TEST(ReplicatedDriverTest, AvoidMaskSteersRunningReplicasImmediately) {
 
 TEST(ReplicatedDriverTest, MajorityVoteWaitsForTheQuorum) {
   platform::Machine machine = quietMachine();
-  ReplicatedDriver driver(
-      machine, workload::Scenario::of({tinyApp(30)}),
+  WorkloadDriver driver(
+      machine, Scenario::of({tinyApp(30)}),
       ReplicationPlan{.merge = MergePolicy::MajorityVote, .initialDegree = 3});
   drain(driver);
   ASSERT_EQ(driver.completions().size(), 1u);
@@ -206,7 +206,7 @@ TEST(ReplicatedDriverTest, MajorityVoteWaitsForTheQuorum) {
 TEST(ReplicatedDriverTest, ReplaysBitIdentically) {
   const auto runOnce = [] {
     platform::Machine machine = quietMachine();
-    ReplicatedDriver driver(machine, workload::Scenario::of({tinyApp(60)}),
+    WorkloadDriver driver(machine, Scenario::of({tinyApp(60)}),
                             ReplicationPlan{.initialDegree = 2});
     std::size_t ticks = 0;
     for (; driver.tick(); ++ticks) {
@@ -219,4 +219,4 @@ TEST(ReplicatedDriverTest, ReplaysBitIdentically) {
 }
 
 }  // namespace
-}  // namespace rltherm::resil
+}  // namespace rltherm::workload

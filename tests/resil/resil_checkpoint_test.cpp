@@ -21,7 +21,6 @@
 #include "core/thermal_manager.hpp"
 #include "exec/sweep.hpp"
 #include "fault/plan.hpp"
-#include "resil/replication.hpp"
 #include "store/policy_checkpoint.hpp"
 #include "workload/app_spec.hpp"
 
@@ -65,7 +64,7 @@ core::RunnerConfig stormRunner() {
   plan.events = {{.kind = fault::FaultKind::CoreDead, .start = 60.0, .core = 1}};
   plan.validate();
   config.faults = plan;
-  config.replication = resil::ReplicationPlan{.initialDegree = 1, .maxDegree = 3};
+  config.replication = workload::ReplicationPlan{.initialDegree = 1, .maxDegree = 3};
   return config;
 }
 
