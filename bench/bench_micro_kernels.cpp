@@ -1,21 +1,18 @@
 // Microbenchmarks of the library's hot paths: the RC thermal step, rainflow
-// counting, Q-table updates, the scheduler dispatch and a full machine tick.
-// These bound the run-time overhead a deployment of the controller would add
-// (the paper's system runs alongside real workloads, so the monitoring path
-// must be cheap).
+// counting, Q-table updates, a full machine tick and the closed loop. These
+// bound the run-time overhead a deployment of the controller would add (the
+// paper's system runs alongside real workloads, so the monitoring path must
+// be cheap).
 //
-// Two modes:
-//  - default: the google-benchmark harness below (auto-tuned iteration
-//    counts, per-op timings; good for interactive profiling);
-//  - `--json [PATH] [--reps K]`: the repetition harness (runJsonMode) that
-//    writes BENCH_micro.json — a FIXED amount of work per kernel, timed K
-//    times, reported as robust median-of-K stats (obs::repStats) plus the
-//    build fingerprint, the sim-seconds-per-wall-second headline and the
-//    hot-path scope attribution. This is the artifact tools/perfgate
-//    compares against bench/baselines/BENCH_micro.json; fixed work (rather
-//    than google-benchmark's adaptive iteration search) is what makes the
-//    medians comparable across runs.
-#include <benchmark/benchmark.h>
+// Each lane does a FIXED amount of work, timed K times (`--reps K`, default
+// 5) and reported as robust median-of-K stats (obs::repStats). Right before
+// every timed rep the harness times one reference unit
+// (perfbench::referenceSeconds()), so each lane also reports its median in
+// reference units (`per_ref`): on a shared host a core's speed drifts by up
+// to 2x, and the ratio cancels much of that. The lanes print as a table;
+// `--json [PATH]` also writes the report (build fingerprint, lanes, hot-path
+// scope attribution) that the perf gate in scripts/check.sh compares with
+// bench/baselines/BENCH_micro.json.
 
 #include <cmath>
 #include <cstdint>
@@ -28,11 +25,11 @@
 #include "bench_util.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "perfbench/reference.hpp"
 #include "platform/machine.hpp"
 #include "reliability/aging.hpp"
 #include "reliability/rainflow.hpp"
 #include "reliability/fatigue.hpp"
-#include "rl/double_q.hpp"
 #include "rl/qtable.hpp"
 #include "sched/scheduler.hpp"
 #include "thermal/expop_cache.hpp"
@@ -50,196 +47,7 @@ thermal::GridPackage lumpedQuadCore() { return thermal::GridPackage({}, 4, 1); }
 /// kernel shares.
 thermal::GridPackage grid64() { return thermal::GridPackage({}, 4, 4); }
 
-void BM_ThermalStep(benchmark::State& state) {
-  thermal::GridPackage pkg = lumpedQuadCore();
-  pkg.prepare(0.01);
-  const std::vector<Watts> power = {8.0, 2.0, 5.0, 1.0};
-  for (auto _ : state) {
-    pkg.network().step(power);
-    benchmark::DoNotOptimize(pkg.network().temperatures().data());
-  }
-}
-BENCHMARK(BM_ThermalStep);
-
-void BM_ThermalStepRk4(benchmark::State& state) {
-  thermal::GridPackage pkg = lumpedQuadCore();
-  const std::vector<Watts> power = pkg.nodePower(std::vector<Watts>{8.0, 2.0, 5.0, 1.0});
-  for (auto _ : state) {
-    pkg.network().stepRk4(power, 0.01);
-    benchmark::DoNotOptimize(pkg.network().temperatures().data());
-  }
-}
-BENCHMARK(BM_ThermalStepRk4);
-
-void BM_Expm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(42);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-0.1, 0.1);
-    a(i, i) = -1.0;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(expm(a));
-  }
-}
-BENCHMARK(BM_Expm)->Arg(6)->Arg(16)->Arg(34);
-
-void BM_Rainflow(benchmark::State& state) {
-  const auto samples = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  std::vector<Celsius> trace;
-  trace.reserve(samples);
-  double t = 45.0;
-  for (std::size_t i = 0; i < samples; ++i) {
-    t += rng.gaussian(0.0, 1.5);
-    trace.push_back(t);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reliability::rainflow(trace, 1.0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(samples));
-}
-BENCHMARK(BM_Rainflow)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_EpochMetrics(benchmark::State& state) {
-  // The per-epoch work of the thermal manager: rainflow + stress + aging
-  // over one decision epoch of sensor samples (10 samples x 4 cores).
-  Rng rng(9);
-  std::vector<std::vector<Celsius>> traces(4);
-  for (auto& trace : traces) {
-    double t = 50.0;
-    for (int i = 0; i < 10; ++i) {
-      t += rng.gaussian(0.0, 3.0);
-      trace.push_back(t);
-    }
-  }
-  const auto aging = reliability::calibratedAgingParams();
-  const auto fatigue = reliability::defaultFatigueParams();
-  for (auto _ : state) {
-    double stress = 0.0;
-    double rate = 0.0;
-    for (const auto& trace : traces) {
-      const auto cycles = reliability::rainflow(trace, 2.0);
-      stress = std::max(stress, reliability::thermalStress(cycles, fatigue));
-      rate = std::max(rate, reliability::agingRate(trace, aging));
-    }
-    benchmark::DoNotOptimize(stress);
-    benchmark::DoNotOptimize(rate);
-  }
-}
-BENCHMARK(BM_EpochMetrics);
-
-void BM_QTableUpdate(benchmark::State& state) {
-  rl::QTable table(16, 12);
-  Rng rng(3);
-  std::size_t s = 0;
-  for (auto _ : state) {
-    const std::size_t a = static_cast<std::size_t>(rng.uniformInt(12));
-    const std::size_t next = static_cast<std::size_t>(rng.uniformInt(16));
-    benchmark::DoNotOptimize(table.update(s, a, rng.uniform(-1.0, 1.0), next, 0.1, 0.75));
-    s = next;
-  }
-}
-BENCHMARK(BM_QTableUpdate);
-
-void BM_QTableSnapshotRestore(benchmark::State& state) {
-  // The per-epoch Q_exp maintenance path (thermal_manager.cpp): snapshot
-  // into a preallocated buffer, then restore. Both must be copy-assigns into
-  // existing storage — the bench fails if either side reallocates.
-  rl::QTable table(16, 12);
-  Rng rng(11);
-  for (int i = 0; i < 512; ++i) {
-    const std::size_t s = static_cast<std::size_t>(rng.uniformInt(16));
-    const std::size_t a = static_cast<std::size_t>(rng.uniformInt(12));
-    const std::size_t next = static_cast<std::size_t>(rng.uniformInt(16));
-    (void)table.update(s, a, rng.uniform(-1.0, 1.0), next, 0.1, 0.75);
-  }
-  std::vector<double> buffer = table.snapshot();  // preallocate once
-  const double* data = buffer.data();
-  const std::size_t capacity = buffer.capacity();
-  for (auto _ : state) {
-    table.snapshotInto(buffer);
-    table.restore(buffer);
-    benchmark::DoNotOptimize(buffer.data());
-  }
-  if (buffer.data() != data || buffer.capacity() != capacity) {
-    state.SkipWithError("snapshotInto/restore reallocated the preallocated buffer");
-  }
-}
-BENCHMARK(BM_QTableSnapshotRestore);
-
-void BM_SchedulerDispatch(benchmark::State& state) {
-  sched::SchedulerConfig config;
-  config.coreCount = 4;
-  sched::Scheduler scheduler(config);
-  for (ThreadId id = 0; id < 6; ++id) {
-    scheduler.addThread(id, sched::AffinityMask::all(4));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.schedule(0.01));
-  }
-}
-BENCHMARK(BM_SchedulerDispatch);
-
-void BM_MachineTick(benchmark::State& state) {
-  platform::MachineConfig config;
-  platform::Machine machine(config);
-  for (ThreadId id = 0; id < 6; ++id) {
-    machine.scheduler().addThread(id, sched::AffinityMask::all(4));
-  }
-  const auto activity = [](ThreadId) { return 0.8; };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(machine.tick(activity));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MachineTick);
-
-void BM_GridThermalStep(benchmark::State& state) {
-  thermal::GridPackage pkg({}, 4, static_cast<std::size_t>(state.range(0)));
-  pkg.prepare(0.01);
-  const std::vector<Watts> power = {8.0, 2.0, 5.0, 1.0};
-  for (auto _ : state) {
-    pkg.network().step(power);
-    benchmark::DoNotOptimize(pkg.network().temperatures().data());
-  }
-}
-BENCHMARK(BM_GridThermalStep)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
-
-void BM_RcPrepareGrid64(benchmark::State& state) {
-  // prepare() throughput on the 66-node grid: range(0)==0 benches the cold
-  // O(n^3) build (cache cleared every iteration), 1 the warm cache-hit path.
-  const bool warm = state.range(0) == 1;
-  thermal::GridPackage pkg = grid64();
-  if (warm) pkg.prepare(0.01);
-  for (auto _ : state) {
-    if (!warm) thermal::ExpOperatorCache::instance().clear();
-    pkg.prepare(0.01);
-    benchmark::DoNotOptimize(pkg.network().preparedOperator());
-  }
-  thermal::ExpOperatorCache::instance().clear();
-}
-BENCHMARK(BM_RcPrepareGrid64)->Arg(0)->Arg(1);
-
-void BM_DoubleQUpdate(benchmark::State& state) {
-  rl::DoubleQLearner learner(16, 12);
-  Rng rng(5);
-  std::size_t s = 0;
-  for (auto _ : state) {
-    const std::size_t a = static_cast<std::size_t>(rng.uniformInt(12));
-    const std::size_t next = static_cast<std::size_t>(rng.uniformInt(16));
-    learner.update(s, a, rng.uniform(-1.0, 1.0), next, 0.1, 0.75, rng);
-    benchmark::DoNotOptimize(learner.value(s, a));
-    s = next;
-  }
-}
-BENCHMARK(BM_DoubleQUpdate);
-
-// --- the --json repetition harness ------------------------------------------
-
-/// One fixed-work kernel of the JSON mode. `run` executes exactly the same
+/// One fixed-work lane (a kernel). `run` executes exactly the same
 /// work every call and returns the simulated seconds it covered (0 for
 /// kernels with no simulated-time semantics, e.g. rainflow over a trace).
 /// `ops` is the number of work items one rep performs (steps, prepares,
@@ -247,7 +55,7 @@ BENCHMARK(BM_DoubleQUpdate);
 /// throughput is reported separately from step() throughput. Consecutive
 /// kernels with the same non-empty `group` are timed in alternating reps, so
 /// a same-run ratio between them sees the same host phases.
-struct JsonKernel {
+struct Lane {
   std::string name;
   double ops = 0.0;
   std::function<double()> run;
@@ -291,8 +99,8 @@ struct DenseStep {
   std::vector<double> ambientInput;
 };
 
-std::vector<JsonKernel> jsonKernels() {
-  std::vector<JsonKernel> kernels;
+std::vector<Lane> makeLanes() {
+  std::vector<Lane> kernels;
 
   // The quad-core RC step on the plant's per-core input path: the
   // per-10ms-tick cost. 20k steps x 0.01 s = 200 simulated seconds.
@@ -494,73 +302,24 @@ std::vector<JsonKernel> jsonKernels() {
   return kernels;
 }
 
-int runJsonMode(int argc, char** argv, const std::string& jsonPath) {
-  std::size_t reps = 5;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--reps") {
-      reps = std::max<std::size_t>(3, std::stoul(argv[i + 1]));
-    }
-  }
+/// One lane's timings: nanoseconds per rep, the median of the reference
+/// units timed right before those reps, and the median over reps of each
+/// rep's time in its own reference units, which the perf gate compares.
+/// Pairing each rep with its own reference keeps a host slowdown that
+/// starts halfway through a lane's reps out of the ratio.
+struct Measured {
+  std::string name;
+  obs::RepStats stats;
+  double refMedianNs;
+  double perRef;
+  double simSecondsPerRep;  // 0 = no simulated-time semantics
+  double ops;               // work items per rep; 0 = not meaningful
+};
 
-  const std::vector<JsonKernel> kernels = jsonKernels();
-  struct Measured {
-    std::string name;
-    obs::RepStats stats;      // nanoseconds per rep
-    double simSecondsPerRep;  // 0 = no simulated-time semantics
-    double ops;               // work items per rep; 0 = not meaningful
-  };
-  std::vector<Measured> measured;
-  bench::ReportMeta meta;
-  meta.jobs = 1;
-
-  const std::uint64_t benchStartNs = obs::wallClockNs();
-  for (std::size_t first = 0; first < kernels.size();) {
-    std::size_t end = first + 1;  // one kernel, or its whole group
-    while (end < kernels.size() && !kernels[first].group.empty() &&
-           kernels[end].group == kernels[first].group) {
-      ++end;
-    }
-    for (std::size_t k = first; k < end; ++k) {
-      (void)kernels[k].run();  // warmup: page in code + data, settle allocators
-    }
-    std::vector<std::vector<double>> samples(end - first);
-    std::vector<double> simSecondsPerRep(end - first, 0.0);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      for (std::size_t k = first; k < end; ++k) {
-        const std::uint64_t startNs = obs::wallClockNs();
-        simSecondsPerRep[k - first] = kernels[k].run();
-        samples[k - first].push_back(static_cast<double>(obs::wallClockNs() - startNs));
-      }
-    }
-    for (std::size_t k = first; k < end; ++k) {
-      measured.push_back({kernels[k].name, obs::repStats(samples[k - first]),
-                          simSecondsPerRep[k - first], kernels[k].ops});
-      meta.simSeconds += simSecondsPerRep[k - first] * static_cast<double>(reps);
-    }
-    first = end;
-  }
-  meta.wallMs = static_cast<double>(obs::wallClockNs() - benchStartNs) / 1e6;
-
-  // Attribution pass (unmeasured): run every kernel once under an
-  // aggregates-only trace collector + metrics registry, so the report says
-  // WHERE the time goes (thermal.rc.step, rl.q.update, ...) without the
-  // per-scope clock reads polluting the timed reps above.
-  {
-    obs::TraceCollector trace(0);
-    obs::MetricsRegistry metrics;
-    obs::Session session;
-    session.trace = &trace;
-    session.metrics = &metrics;
-    const obs::ScopedSession guard(session);
-    for (const JsonKernel& kernel : kernels) (void)kernel.run();
-    for (const auto& [name, stats] : trace.sortedStats()) meta.scopes[name] = stats;
-    metrics.forEachHistogram([&](const std::string& name, const obs::Histogram& h) {
-      meta.histograms.emplace(name, h);
-    });
-  }
-
-  std::ofstream out(jsonPath);
-  expects(out.good(), "cannot write '" + jsonPath + "'");
+void writeReport(const std::string& path, std::size_t reps, const bench::ReportMeta& meta,
+                 const std::vector<Measured>& measured) {
+  std::ofstream out(path);
+  expects(out.good(), "cannot write '" + path + "'");
   obs::JsonWriter json(out);
   json.beginObject();
   json.key("suite").value("micro_kernels");
@@ -577,6 +336,8 @@ int runJsonMode(int argc, char** argv, const std::string& jsonPath) {
     json.key("cv").value(m.stats.cv);
     json.key("mean_ns").value(m.stats.mean);
     json.key("max_ns").value(m.stats.max);
+    json.key("ref_median_ns").value(m.refMedianNs);
+    json.key("per_ref").value(m.perRef);
     json.key("sim_seconds_per_wall_second")
         .value(obs::simSecondsPerWallSecond(m.simSecondsPerRep,
                                             m.stats.median / 1e6));
@@ -612,13 +373,87 @@ int runJsonMode(int argc, char** argv, const std::string& jsonPath) {
   json.endObject();
   out << "\n";
   ensures(json.complete(), "BENCH_micro.json left unbalanced");
+  std::cout << "wrote " << path << "\n";
+}
 
-  TextTable table({"kernel", "median (ms)", "CV", "sim s / wall s", "ops/s"});
+int run(int argc, char** argv) {
+  std::size_t reps = 5;
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::string(argv[i]) == "--reps") {
+      reps = std::max<std::size_t>(3, std::stoul(argv[i + 1]));
+    }
+  }
+
+  const std::vector<Lane> kernels = makeLanes();
+  std::vector<Measured> measured;
+  bench::ReportMeta meta;
+  meta.jobs = 1;
+
+  const std::uint64_t benchStartNs = obs::wallClockNs();
+  double refNs = 0.0;  // kept out of wall_ms: the reference is no lane's work
+  for (std::size_t first = 0; first < kernels.size();) {
+    std::size_t end = first + 1;  // one kernel, or its whole group
+    while (end < kernels.size() && !kernels[first].group.empty() &&
+           kernels[end].group == kernels[first].group) {
+      ++end;
+    }
+    for (std::size_t k = first; k < end; ++k) {
+      (void)kernels[k].run();  // warmup: page in code + data, settle allocators
+    }
+    std::vector<std::vector<double>> samples(end - first);
+    std::vector<std::vector<double>> refSamples(end - first);
+    std::vector<double> simSecondsPerRep(end - first, 0.0);
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      for (std::size_t k = first; k < end; ++k) {
+        refSamples[k - first].push_back(perfbench::referenceSeconds() * 1e9);
+        refNs += refSamples[k - first].back();
+        const std::uint64_t startNs = obs::wallClockNs();
+        simSecondsPerRep[k - first] = kernels[k].run();
+        samples[k - first].push_back(static_cast<double>(obs::wallClockNs() - startNs));
+      }
+    }
+    for (std::size_t k = first; k < end; ++k) {
+      std::vector<double> perRef(reps);
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        perRef[rep] = samples[k - first][rep] / refSamples[k - first][rep];
+      }
+      measured.push_back({kernels[k].name, obs::repStats(samples[k - first]),
+                          obs::repStats(refSamples[k - first]).median,
+                          obs::repStats(perRef).median, simSecondsPerRep[k - first],
+                          kernels[k].ops});
+      meta.simSeconds += simSecondsPerRep[k - first] * static_cast<double>(reps);
+    }
+    first = end;
+  }
+  meta.wallMs = (static_cast<double>(obs::wallClockNs() - benchStartNs) - refNs) / 1e6;
+
+  // Attribution pass (unmeasured): run every kernel once under an
+  // aggregates-only trace collector + metrics registry, so the report says
+  // WHERE the time goes (thermal.rc.step, rl.q.update, ...) without the
+  // per-scope clock reads polluting the timed reps above.
+  {
+    obs::TraceCollector trace(0);
+    obs::MetricsRegistry metrics;
+    obs::Session session;
+    session.trace = &trace;
+    session.metrics = &metrics;
+    const obs::ScopedSession guard(session);
+    for (const Lane& kernel : kernels) (void)kernel.run();
+    for (const auto& [name, stats] : trace.sortedStats()) meta.scopes[name] = stats;
+    metrics.forEachHistogram([&](const std::string& name, const obs::Histogram& h) {
+      meta.histograms.emplace(name, h);
+    });
+  }
+
+  TextTable table(
+      {"kernel", "median (ms)", "CV", "ref (ms)", "per ref", "sim s / wall s", "ops/s"});
   for (const Measured& m : measured) {
     table.row()
         .cell(m.name)
         .cell(m.stats.median / 1e6, 3)
         .cell(m.stats.cv, 4)
+        .cell(m.refMedianNs / 1e6, 3)
+        .cell(m.perRef, 4)
         .cell(obs::simSecondsPerWallSecond(m.simSecondsPerRep, m.stats.median / 1e6), 1)
         .cell(m.ops > 0.0 && m.stats.median > 0.0 ? m.ops / (m.stats.median / 1e9) : 0.0,
               0);
@@ -628,19 +463,13 @@ int runJsonMode(int argc, char** argv, const std::string& jsonPath) {
   std::cout << "headline: "
             << formatFixed(obs::simSecondsPerWallSecond(meta.simSeconds, meta.wallMs), 1)
             << " simulated seconds per wall second\n";
-  std::cout << "wrote " << jsonPath << "\n";
+  if (const std::string path = bench::jsonOutputPath(argc, argv, "BENCH_micro.json");
+      !path.empty()) {
+    writeReport(path, reps, meta, measured);
+  }
   return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string jsonPath =
-      rltherm::bench::jsonOutputPath(argc, argv, "BENCH_micro.json");
-  if (!jsonPath.empty()) return runJsonMode(argc, argv, jsonPath);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+int main(int argc, char** argv) { return run(argc, argv); }

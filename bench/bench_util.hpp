@@ -212,7 +212,8 @@ inline ReportMeta metaOf(const exec::SweepResult& sweep) {
 /// hot-scope attribution, histogram quantiles — into an OPEN top-level JSON
 /// object. Factored out so bespoke writers (bench_micro_kernels' repetition
 /// harness, the CLI --json summaries) emit the exact same schema as
-/// writeJsonReport. Field names are the contract with tools/perf/report.cpp.
+/// writeJsonReport. Field names are the contract with the perf gate in
+/// scripts/check.sh step 13 (fingerprint, schema_version).
 inline void writePerfSections(obs::JsonWriter& json, const ReportMeta& meta) {
   json.key("schema_version")
       .value(static_cast<std::uint64_t>(obs::kPerfSchemaVersion));

@@ -218,38 +218,42 @@ fi
 
 echo "== [13/14] perf gate (bench_micro_kernels --json vs committed baseline) =="
 # Timing happens on the PLAIN optimized build — sanitizer trees distort
-# every number (the gate's fingerprint check would refuse them anyway).
+# every number (the fingerprint check below refuses them anyway).
 cmake -S . -B build >/dev/null
-cmake --build build -j "${JOBS}" --target bench_micro_kernels rltherm_perfgate
-
-# Vacuity guard, same shape as the fault/store gates: the perf-library tests
-# must actually be registered.
-PERF_COUNT="$(ctest --preset asan-ubsan -L perf -N | sed -n 's/^Total Tests: //p')"
-if [ "${PERF_COUNT:-0}" -eq 0 ]; then
-  echo "no tests carry the 'perf' label; the perf gate is vacuous"
+cmake --build build -j "${JOBS}" --target bench_micro_kernels
+if ! command -v python3 >/dev/null 2>&1; then
+  echo "python3 not found on PATH; the perf gate cannot run"
   exit 1
 fi
 
 PERF_TMP="$(mktemp /tmp/rltherm_bench_micro.XXXXXX.json)"
-trap 'rm -f "${EVENTS_TMP}" "${CANARY}" "${RESIL_TMP}" "${PERF_TMP}"; rm -rf "${CKPT_TMP}"' EXIT
-./build/bench/bench_micro_kernels --json "${PERF_TMP}" --reps 7 >/dev/null
-# CI neighbors share the machine: a generous floor (30%) keeps the gate
-# about real regressions; the committed baseline still records per-kernel
-# CVs, so historically noisy kernels widen further on their own.
-./build/tools/rltherm_perfgate --baseline bench/baselines/BENCH_micro.json \
-  --floor 30 "${PERF_TMP}"
+PERF_NOCACHE_TMP="$(mktemp /tmp/rltherm_bench_nocache.XXXXXX.json)"
+trap 'rm -f "${EVENTS_TMP}" "${CANARY}" "${RESIL_TMP}" "${PERF_TMP}" "${PERF_NOCACHE_TMP}"; rm -rf "${CKPT_TMP}"' EXIT
+PERF_BENCH=(./build/bench/bench_micro_kernels --reps 7)
+"${PERF_BENCH[@]}" --json "${PERF_TMP}" >/dev/null
+RLTHERM_EXPOP_CACHE=0 ./build/bench/bench_micro_kernels --json "${PERF_NOCACHE_TMP}" \
+  --reps 5 >/dev/null
 
-# Canary self-test, mirroring the lint canary: inject an artificial 3x
-# slowdown into the fresh side and require the gate to FAIL. A perf gate
-# that passes a 3x regression has failed open (stale baseline, empty
-# report, thresholds gone permissive) — that must fail the script.
-if ./build/tools/rltherm_perfgate --baseline bench/baselines/BENCH_micro.json \
-    --floor 30 --canary 3.0 "${PERF_TMP}" >/dev/null 2>&1; then
-  echo "perf canary FAILED: a 3x artificial slowdown was not flagged"
-  exit 1
-fi
-echo "perf canary: 3x artificial slowdown caught as expected"
-
+# The step-kernel ratios compare lanes of one run and need no baseline. The
+# lane gate compares reference-normalized times, so a host's speed drift
+# cancels; a host of another kind may still need a re-record (see
+# docs/ARCHITECTURE.md "Baseline refresh workflow").
+#
+# Lane gate (cached report only): each lane's per_ref, the median over its
+# reps of the rep's time in units of perfbench's reference computation timed
+# right before it, must not be more than 30% above the same lane in the
+# committed baseline.
+# A lane over that floor is re-measured by a fresh bench run, up to 3 runs
+# in all, and fails if it is over the floor in every run: a slow phase of a
+# shared host slows the lanes more than the reference, for seconds at a
+# time, while a real regression shows in every run. The baseline must come
+# from the same kind of build (build_type, checked, sanitizers) and hold
+# exactly the fresh lane set, so a lost lane or an ungated new one fails;
+# the one exception is the AVX2 lane on a host without AVX2. Canary
+# self-test: the same comparison with every lane's best run made 3x slower
+# must flag every lane. A gate that passes a 3x slowdown on any lane has
+# failed open (stale baseline, lost normalization).
+#
 # Step-kernel gate: in the same run, the packed kernel (rc_step_grid64_leaky)
 # must beat the dense two-matvec reference (rc_step_grid64_reference) by
 # >= 2x on the 64-cell grid with leaky power that changes every tick, with
@@ -258,8 +262,8 @@ echo "perf canary: 3x artificial slowdown caught as expected"
 # that claim never rests on the wide path alone; where step() dispatches to
 # a wide kernel ("step_kernel": "avx2" or "avx512"), it must beat the
 # baseline by >= 1.3x, and so must the AVX2 entry point
-# (rc_step_grid64_avx2), so it stays gated on an AVX-512 host. Then re-run
-# the bench with the cache disabled via RLTHERM_EXPOP_CACHE=0 and require
+# (rc_step_grid64_avx2), so it stays gated on an AVX-512 host. The report
+# taken with the cache disabled via RLTHERM_EXPOP_CACHE=0 must show
 # hits == 0 AND the same 2x ratios — proving the kernel cannot fail open
 # into stale cached operators, and that its win is the kernel, not the
 # cache. The wide-over-baseline ratios are only printed there: all lanes
@@ -269,12 +273,13 @@ echo "perf canary: 3x artificial slowdown caught as expected"
 # build it read 1.84-2.34 (AVX-512) and 1.53-1.95 (AVX2) with the cache off,
 # against 1.95-2.76 and 1.92-2.41 with it on; before that build, a cold
 # prepare held the cache-off ratio at 1.41-1.47.
-# A same-run ratio needs no cross-host baseline.
-if command -v python3 >/dev/null 2>&1; then
-  check_fast_path() {
-    python3 - "$1" "$2" <<'PY'
-import json, sys
-path, mode = sys.argv[1], sys.argv[2]
+check_perf() {
+  python3 - "$1" "$2" bench/baselines/BENCH_micro.json "${@:3}" <<'PY'
+import json, subprocess, sys, tempfile
+path, mode, baseline_path, bench = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
+FLOOR = 0.30  # a lane fails when its per_ref is more than 30% above baseline
+RUNS = 3      # bench runs a lane gets before it fails
+CANARY = 3.0  # the self-test's artificial slowdown
 doc = json.load(open(path))
 kernels = {k["name"]: k for k in doc["kernels"]}
 for name in ("rc_step_grid64_reference", "rc_step_grid64_leaky",
@@ -284,6 +289,62 @@ for name in ("rc_step_grid64_reference", "rc_step_grid64_leaky",
         sys.exit(f"{path}: kernel '{name}' missing from the report")
     if kernels[name].get("ops_per_sec", 0.0) <= 0.0:
         sys.exit(f"{path}: kernel '{name}' reports no ops_per_sec")
+
+if mode == "cached":
+    base = json.load(open(baseline_path))
+    old = {k["name"]: k for k in base["kernels"]}
+    if base["fingerprint"]["cpu_model"] != doc["fingerprint"]["cpu_model"]:
+        print(f"note: baseline recorded on {base['fingerprint']['cpu_model']!r}, "
+              f"this host is {doc['fingerprint']['cpu_model']!r}")
+
+    def lane_ratios(report, where):
+        """Each lane's per_ref over the baseline's, once the two compare."""
+        if base.get("schema_version") != report.get("schema_version"):
+            sys.exit(f"{baseline_path}: schema_version {base.get('schema_version')} "
+                     f"!= {report.get('schema_version')} in {where}; re-record the baseline")
+        for key in ("build_type", "checked", "sanitizers"):
+            if base["fingerprint"][key] != report["fingerprint"][key]:
+                sys.exit(f"not comparable: baseline {key}={base['fingerprint'][key]!r}, "
+                         f"fresh {key}={report['fingerprint'][key]!r}")
+        lanes = {k["name"]: k for k in report["kernels"]}
+        expected = set(old)
+        if report.get("step_kernel") == "baseline":
+            expected.discard("rc_step_grid64_avx2")
+        missing = sorted(expected - set(lanes))
+        unbaselined = sorted(set(lanes) - set(old))
+        if missing or unbaselined:
+            sys.exit(f"lane set differs from {baseline_path}: missing {missing}, "
+                     f"not in the baseline {unbaselined}")
+        for name, lane in lanes.items():
+            if lane.get("per_ref", 0.0) <= 0.0 or old[name].get("per_ref", 0.0) <= 0.0:
+                sys.exit(f"lane '{name}' has no per_ref in {where} or {baseline_path}")
+        return {name: lane["per_ref"] / old[name]["per_ref"] for name, lane in lanes.items()}
+
+    # A lane over the floor gets another bench run, up to RUNS in all, and
+    # fails only if it is over the floor in each (see the comment above).
+    best = lane_ratios(doc, path)
+    runs = 1
+    while runs < RUNS and any(ratio - 1.0 > FLOOR for ratio in best.values()):
+        with tempfile.NamedTemporaryFile(suffix=".json") as again:
+            subprocess.run(bench + ["--json", again.name], check=True,
+                           stdout=subprocess.DEVNULL)
+            ratios = lane_ratios(json.load(open(again.name)), again.name)
+        best = {name: min(ratio, ratios[name]) for name, ratio in best.items()}
+        runs += 1
+    print(f"{'lane':<26} {'baseline':>9} {'fresh':>9} {'delta':>8}  (best of {runs} runs)")
+    for name, ratio in best.items():
+        print(f"{name:<26} {old[name]['per_ref']:9.4f} {ratio * old[name]['per_ref']:9.4f} "
+              f"{100 * (ratio - 1.0):+7.1f}% {'FAIL' if ratio - 1.0 > FLOOR else 'ok'}")
+    slow = [name for name, ratio in best.items() if ratio - 1.0 > FLOOR]
+    if slow:
+        sys.exit(f"perf gate FAILED: {slow} more than {FLOOR:.0%} slower than "
+                 f"the baseline in reference units, in each of {runs} runs")
+    missed = [name for name, ratio in best.items() if CANARY * ratio - 1.0 <= FLOOR]
+    if missed:
+        sys.exit(f"perf canary FAILED: a {CANARY:g}x slowdown was not flagged on {missed}")
+    print(f"perf gate: {len(best)} lanes within {FLOOR:.0%} of the baseline; "
+          f"canary: a {CANARY:g}x slowdown flagged on {len(best)} of {len(best)}")
+
 # min_ns, not median: CI neighbors inject multi-rep interference bursts
 # that inflate whichever kernel they land on; best-of-reps compares the
 # two kernels' uncontended cost, which is what the 2x claim is about.
@@ -333,16 +394,9 @@ print(f"step kernel ({mode}): {speedup:.2f}x over the dense reference, "
       f"baseline kernel {baseline_speedup:.2f}x{wide}, "
       f"cache hits={cache['hits']} enabled={cache['enabled']}")
 PY
-  }
-  check_fast_path "${PERF_TMP}" cached
-  PERF_NOCACHE_TMP="$(mktemp /tmp/rltherm_bench_nocache.XXXXXX.json)"
-  trap 'rm -f "${EVENTS_TMP}" "${CANARY}" "${RESIL_TMP}" "${PERF_TMP}" "${PERF_NOCACHE_TMP}"; rm -rf "${CKPT_TMP}"' EXIT
-  RLTHERM_EXPOP_CACHE=0 ./build/bench/bench_micro_kernels --json "${PERF_NOCACHE_TMP}" \
-    --reps 5 >/dev/null
-  check_fast_path "${PERF_NOCACHE_TMP}" nocache
-else
-  echo "python3 not found on PATH; skipping the step-kernel speedup assertions."
-fi
+}
+check_perf "${PERF_TMP}" cached "${PERF_BENCH[@]}"
+check_perf "${PERF_NOCACHE_TMP}" nocache
 
 echo "== [14/14] fleet-service gate (ctest -L serve) + serve protocol smoke =="
 # Same vacuity guard as the other label gates: the protocol golden tests and

@@ -277,7 +277,7 @@ void ThermalManager::onEpoch(PolicyContext& ctx) {
       schedule_.phase() != rl::LearningPhase::Exploration) {
     // Refresh in place: snapshotInto copy-assigns into the existing buffer,
     // so the steady-state epoch path performs no allocation (asserted by
-    // BM_QTableSnapshotRestore in bench_micro_kernels).
+    // QTableTest.SnapshotIntoMatchesSnapshotWithoutReallocating).
     if (!qExp_) qExp_.emplace();
     qTable_.snapshotInto(*qExp_);
   }

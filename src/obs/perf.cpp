@@ -16,8 +16,8 @@ namespace rltherm::obs {
 namespace {
 
 std::string detectCpuModel() {
-  // Linux-only source; every other platform reports "unknown" and perfgate
-  // treats the mismatch as a cross-machine comparison (warn + widen).
+  // Linux-only source; every other platform reports "unknown", which the
+  // perf gate notes as a cross-machine comparison.
   std::ifstream cpuinfo("/proc/cpuinfo");
   std::string line;
   while (std::getline(cpuinfo, line)) {

@@ -1,23 +1,22 @@
 // Performance observability: the durable-perf-record primitives shared by
-// every bench JSON emitter and by tools/perfgate.
+// every bench JSON emitter and by the perf gate in scripts/check.sh.
 //
 // Three pieces, all deliberately tiny:
 //  - BuildFingerprint: what machine/build produced a measurement. Timing
 //    numbers are meaningless without it — a baseline taken under ASan on a
 //    laptop must never gate a release build on CI — so every perf-bearing
-//    JSON artifact (BENCH_*.json, bench/baselines/, BENCH_trajectory.json)
-//    carries one, and perfgate refuses to compare across incompatible ones.
+//    JSON artifact (BENCH_*.json, bench/baselines/) carries one, and the perf
+//    gate refuses to compare across incompatible ones.
 //  - RepStats: robust statistics over K repetitions of a measurement
 //    (min/median/MAD/CV). Perf comparisons use the MEDIAN of K reps, never a
-//    single shot, and the robust CV feeds perfgate's noise-aware threshold:
-//    a kernel that is noisy at baseline time gets a proportionally wider
-//    regression band.
+//    single shot; the robust CV says how far one report's medians can be
+//    trusted.
 //  - simSecondsPerWallSecond: the headline throughput metric from the
 //    ROADMAP ("simulated seconds per wall second") relating RunResult
 //    simulated time to measured wall time.
 //
-// The JSON field names written here are the schema contract with
-// tools/perf/report.cpp (the parser side); bump kPerfSchemaVersion on any
+// The JSON field names written here are the schema contract with the perf
+// gate in scripts/check.sh (the reader side); bump kPerfSchemaVersion on any
 // breaking change. See docs/ARCHITECTURE.md "Performance observability".
 #pragma once
 
@@ -30,12 +29,12 @@ namespace rltherm::obs {
 class JsonWriter;
 
 /// Schema version stamped into every perf-bearing JSON artifact. Readers
-/// (tools/perfgate) refuse to compare across versions.
+/// (the perf gate in scripts/check.sh) refuse to compare across versions.
 inline constexpr std::uint32_t kPerfSchemaVersion = 1;
 
 /// What produced a measurement. Two fingerprints are timing-comparable only
-/// when buildType/checked/sanitizers match exactly; a cpuModel mismatch
-/// degrades a comparison to a warning with a widened threshold.
+/// when buildType/checked/sanitizers match exactly; a cpuModel mismatch is
+/// only noted, since the gate compares reference-normalized times.
 struct BuildFingerprint {
   std::string cpuModel;    ///< /proc/cpuinfo "model name", or "unknown"
   std::uint32_t coreCount = 0;

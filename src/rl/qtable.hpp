@@ -64,7 +64,8 @@ class QTable {
 
   /// Allocation-free variant of snapshot(): copy-assigns into `out`, reusing
   /// its capacity. The per-epoch Q_exp refresh uses this so steady-state
-  /// epochs allocate nothing (asserted in bench_micro_kernels).
+  /// epochs allocate nothing (asserted by QTableTest.
+  /// SnapshotIntoMatchesSnapshotWithoutReallocating).
   void snapshotInto(std::vector<double>& out) const { out = values_; }
 
   // --- checkpoint support (src/store/) ---

@@ -81,9 +81,9 @@ TEST(BenchJsonTest, MetaOfMirrorsSweepResult) {
   EXPECT_DOUBLE_EQ(meta.speedup, 2.5);
 }
 
-// Golden schema: every field name tools/perf/report.cpp parses must appear
-// in what writeJsonReport emits. A rename on either side breaks this test
-// before it breaks the perf gate in check.sh.
+// Golden schema: every shared field name of a perf report must appear in
+// what writeJsonReport emits. A rename breaks this test before it breaks the
+// perf gate in scripts/check.sh, which reads the fingerprint.
 TEST(BenchJsonTest, PerfSchemaGolden) {
   TextTable table({"k"});
   table.row().cell("v");

@@ -134,6 +134,13 @@ TEST(QTableTest, SnapshotIntoMatchesSnapshotWithoutReallocating) {
   // is what keeps the per-epoch Q_exp refresh allocation-free.
   EXPECT_EQ(buffer.data(), data);
   EXPECT_EQ(buffer.capacity(), capacity);
+  // restore() copy-assigns back into the table's own storage: the values
+  // come back and the table keeps its buffer.
+  table.update(0, 0, 5.0, 1, 0.3, 0.9);
+  const double* values = table.values().data();
+  table.restore(buffer);
+  EXPECT_EQ(table.values(), buffer);
+  EXPECT_EQ(table.values().data(), values);
 }
 
 TEST(QTableTest, RestoreFullRoundTripsValuesVisitsAndTouched) {

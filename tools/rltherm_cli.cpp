@@ -217,7 +217,7 @@ void usage() {
       "  --json FILE          (run/inter/concurrent/sweep) perf summary JSON:\n"
       "                       fingerprint, sim_seconds_per_wall_second headline,\n"
       "                       result rows; add --metrics for hot-scope attribution\n"
-      "                       (perfgate-comparable; see docs/ARCHITECTURE.md)\n"
+      "                       (the bench report schema; see docs/ARCHITECTURE.md)\n"
       "policy checkpoints (train once, evaluate many):\n"
       "  train                train the proposed manager, write a versioned\n"
       "                       checkpoint (--out, default policy.ckpt)\n"
