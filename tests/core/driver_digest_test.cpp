@@ -15,6 +15,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -138,6 +140,48 @@ void expectDigest(const RunResult& result, std::uint64_t pinned) {
   EXPECT_EQ(digest, pinned) << "digest 0x" << std::hex << digest;
 }
 
+/// Samples every 0.5 s without acting, except through an optional script
+/// called with the machine at each sample. It folds the sensor readings it
+/// receives into a digest and counts the hardware-throttle engagements and
+/// releases it sees between samples.
+class ProbePolicy final : public ThermalPolicy {
+ public:
+  using Script = std::function<void(platform::Machine&)>;
+  explicit ProbePolicy(Script script = {}) : script_(std::move(script)) {}
+
+  [[nodiscard]] std::string name() const override { return "probe"; }
+  [[nodiscard]] Seconds samplingInterval() const override { return 0.5; }
+  void onSample(PolicyContext& ctx, std::span<const Celsius> temps) override {
+    for (const Celsius t : temps) readings_.mix(t);
+    platform::Machine& machine = ctx.machine;
+    throttled_.resize(machine.coreCount(), false);
+    for (std::size_t c = 0; c < machine.coreCount(); ++c) {
+      if (machine.throttled(c) != throttled_[c]) ++(throttled_[c] ? releases_ : engages_);
+      throttled_[c] = machine.throttled(c);
+    }
+    if (script_) script_(machine);
+  }
+
+  [[nodiscard]] std::uint64_t readingsDigest() const noexcept { return readings_.value(); }
+  [[nodiscard]] int engages() const noexcept { return engages_; }
+  [[nodiscard]] int releases() const noexcept { return releases_; }
+
+ private:
+  Script script_;
+  Digest readings_;
+  std::vector<bool> throttled_;
+  int engages_ = 0;
+  int releases_ = 0;
+};
+
+void expectProbeDigest(const RunResult& result, const ProbePolicy& probe,
+                       std::uint64_t pinned) {
+  Digest d;
+  d.mix(digestOf(result));
+  d.mix(probe.readingsDigest());
+  EXPECT_EQ(d.value(), pinned) << "digest 0x" << std::hex << d.value();
+}
+
 class DriverDigestTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -193,6 +237,61 @@ TEST_F(DriverDigestTest, ConcurrentUnderTheManager) {
   ASSERT_EQ(result.completions.size(), 2u);
   expectDigest(result, 0x6e6e16bfeb177c97ULL);
 }
+
+/// The cases below run at one and at two thermal cells per core side.
+class PlatformDigestTest : public DriverDigestTest,
+                           public ::testing::WithParamInterface<std::size_t> {
+ protected:
+  [[nodiscard]] RunnerConfig config() const {
+    RunnerConfig config = runnerConfig();
+    config.machine.thermalCellsPerCoreSide = GetParam();
+    return config;
+  }
+  /// Pinned digest of this case at the current resolution.
+  [[nodiscard]] std::uint64_t pinned(std::uint64_t lumped, std::uint64_t grid) const {
+    return GetParam() == 1 ? lumped : grid;
+  }
+};
+
+TEST_P(PlatformDigestTest, BigLittleUnderTheManager) {
+  RunnerConfig config = this->config();
+  config.machine.coreTypes = platform::bigLittleCoreTypes();
+  ThermalManager manager = freshManager();
+  const RunResult result = PolicyRunner(config).run(scenario(), manager);
+  ASSERT_EQ(result.completions.size(), 2u);
+  expectDigest(result, pinned(0xac539e66d20c0619ULL, 0x4b605ea3b750aa29ULL));
+}
+
+TEST_P(PlatformDigestTest, ThrottleEngagesAndReleases) {
+  RunnerConfig config = this->config();
+  config.machine.throttleTemp = 60.0;  // the run peaks just above it
+  ProbePolicy probe;
+  const RunResult result = PolicyRunner(config).run(scenario(), probe);
+  ASSERT_EQ(result.completions.size(), 2u);
+  EXPECT_GT(probe.engages(), 0);
+  EXPECT_GT(probe.releases(), 0);
+  expectProbeDigest(result, probe, pinned(0x2fd03a01cd701cf8ULL, 0x3e01a37c1977d3b0ULL));
+}
+
+TEST_P(PlatformDigestTest, PerCoreUserspaceBetweenTablePointsWithACoreOffline) {
+  // 2.3 GHz floors to 2.0 GHz and 3.1 GHz to 2.8 GHz; core 3 stays under
+  // ondemand until it goes offline at t = 100 s.
+  int samples = 0;
+  ProbePolicy probe([&samples](platform::Machine& machine) {
+    if (samples++ == 0) {
+      machine.setCoreGovernor(0, {platform::GovernorKind::Userspace, 2.3e9});
+      machine.setCoreGovernor(1, {platform::GovernorKind::Userspace, 3.1e9});
+      machine.setCoreGovernor(2, {platform::GovernorKind::Conservative, 0.0});
+    }
+    if (samples == 200) machine.setCoreOnline(3, false);
+  });
+  const RunResult result = PolicyRunner(this->config()).run(scenario(), probe);
+  ASSERT_EQ(result.completions.size(), 2u);
+  ASSERT_GT(samples, 200);
+  expectProbeDigest(result, probe, pinned(0x45df46b618ab77e4ULL, 0xa3f87fe4b2e93f94ULL));
+}
+
+INSTANTIATE_TEST_SUITE_P(CellsPerCoreSide, PlatformDigestTest, ::testing::Values(1u, 2u));
 
 }  // namespace
 }  // namespace rltherm::core

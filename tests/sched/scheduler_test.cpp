@@ -147,6 +147,44 @@ TEST(SchedulerTest, MigrationAppliesSpeedPenaltyThatExpires) {
   EXPECT_DOUBLE_EQ(sched.speedFactor(1), 1.0);
 }
 
+/// A migration penalty that the tick does not divide exactly: the cooldown
+/// ends on the tick where repeated `max(0, c - dt)` subtraction first reaches
+/// zero, which rounding can put one tick after or before ceil(penalty / dt).
+struct CooldownCase {
+  Seconds penalty;
+  Seconds dt;
+  int endTick;  ///< first schedule() after the migration whose coreSpeed is 1.0
+};
+
+class CooldownCrossing : public ::testing::TestWithParam<CooldownCase> {};
+
+TEST_P(CooldownCrossing, SpeedRecoversOnTheRecordedTick) {
+  const CooldownCase c = GetParam();
+  SchedulerConfig config = twoCores();
+  config.migrationPenalty = c.penalty;
+  config.balanceInterval = 1000.0;
+  Scheduler sched(config);
+  sched.addThread(1, AffinityMask::all(2));
+  const CoreId other = sched.thread(1).core == 0 ? 1 : 0;
+  sched.setAffinity(1, AffinityMask::single(other));
+  int tick = 0;
+  do {
+    (void)sched.schedule(c.dt);
+    ++tick;
+  } while (sched.coreSpeed(static_cast<std::size_t>(other)) < 1.0 && tick < 100);
+  EXPECT_EQ(tick, c.endTick);
+  EXPECT_EQ(sched.speedFactor(1), 1.0);
+}
+
+// Recorded from the scheduler that subtracted dt from every thread's
+// cooldown on every tick. 0.1 s at 0.01 s ends after 11 ticks, not 10;
+// 0.07 s at 0.01 s after 7, not 8.
+INSTANTIATE_TEST_SUITE_P(Penalties, CooldownCrossing,
+                         ::testing::Values(CooldownCase{0.05, 0.01, 5},
+                                           CooldownCase{0.03, 0.007, 5},
+                                           CooldownCase{0.1, 0.01, 11},
+                                           CooldownCase{0.07, 0.01, 7}));
+
 TEST(SchedulerTest, BalancerEvensOutLoad) {
   SchedulerConfig config;
   config.coreCount = 4;
