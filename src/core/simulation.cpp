@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -29,7 +30,9 @@ Simulation::Simulation(RunnerConfig config, bool trace, ThermalPolicy& policy,
       policy_(policy),
       machine_(config_.machine),
       driver_(machine_, scenario, config_.replication),
-      ctx_{machine_, attachFaults()} {
+      ctx_{machine_, attachFaults()},
+      readings_(machine_.coreCount()),
+      truth_(machine_.coreCount()) {
   start(trace, std::move(scenario.name));
 }
 
@@ -39,7 +42,9 @@ Simulation::Simulation(RunnerConfig config, bool trace, ThermalPolicy& policy,
       policy_(policy),
       machine_(config_.machine),
       driver_(machine_, apps, /*restartFinished=*/true),
-      ctx_{machine_, attachFaults()} {
+      ctx_{machine_, attachFaults()},
+      readings_(machine_.coreCount()),
+      truth_(machine_.coreCount()) {
   expects(!config_.replication.has_value(),
           "concurrent mode does not support replication; clear RunnerConfig::replication");
   start(trace, concurrentName(apps));
@@ -86,14 +91,14 @@ void Simulation::advanceTo(Seconds limit) {
 
     const Seconds now = machine_.now();
     if (nextSample_ > 0.0 && now + 1e-9 >= nextSample_) {
-      std::vector<Celsius> readings = machine_.readSensors();
-      bool deliver = true;
+      machine_.readSensors(readings_);
+      std::span<const Celsius> readings = readings_;
+      std::optional<std::vector<Celsius>> filtered;
       if (injector_.has_value()) {
-        auto filtered = injector_->filterSample(now, std::move(readings));
-        deliver = filtered.has_value();
-        if (deliver) readings = std::move(*filtered);
+        filtered = injector_->filterSample(now, readings_);
+        if (filtered.has_value()) readings = *filtered;
       }
-      if (deliver) {
+      if (!injector_.has_value() || filtered.has_value()) {
         for (const Celsius r : readings) peakReading_ = std::max(peakReading_, r);
         ++samples_;
         policy_.onSample(ctx_, readings);
@@ -107,9 +112,9 @@ void Simulation::advanceTo(Seconds limit) {
       nextSample_ += std::max(policy_.samplingInterval(), machine_.tickLength());
     }
     if (now + 1e-9 >= nextTrace_) {
-      const std::vector<Celsius> truth = machine_.trueCoreTemperatures();
-      for (std::size_t c = 0; c < truth.size(); ++c) {
-        result_.coreTraces[c].push_back(truth[c]);
+      machine_.trueCoreTemperatures(truth_);
+      for (std::size_t c = 0; c < truth_.size(); ++c) {
+        result_.coreTraces[c].push_back(truth_[c]);
       }
       nextTrace_ += config_.traceInterval;
     }

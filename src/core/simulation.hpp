@@ -78,6 +78,9 @@ class Simulation {
   std::optional<fault::FaultInjector> injector_;
   std::optional<fault::GatedWorkloadControl> gatedControl_;
   PolicyContext ctx_;
+  /// Sensor and ground-truth buffers the clean sample path reads into.
+  std::vector<Celsius> readings_;
+  std::vector<Celsius> truth_;
 
   RunResult result_;  ///< header and traces, filled in by finish()
   bool running_ = true;

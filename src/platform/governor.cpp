@@ -33,13 +33,13 @@ class OndemandGovernor final : public Governor {
   OndemandGovernor(const power::VfTable& table, OndemandConfig config)
       : table_(table), config_(config) {}
 
-  Hertz decide(double utilization, Hertz /*current*/) override {
-    if (utilization >= config_.upThreshold) return table_.highest().frequency;
+  std::size_t decide(double utilization, std::size_t /*current*/) override {
+    if (utilization >= config_.upThreshold) return table_.size() - 1;
     // Proportional scaling with headroom, as the real governor's
     // "frequency next = max * load / up_threshold" rule.
     const Hertz target =
         table_.highest().frequency * utilization / config_.upThreshold;
-    return table_.ceilingFor(target).frequency;
+    return table_.ceilingIndex(target);
   }
 
   GovernorKind kind() const noexcept override { return GovernorKind::Ondemand; }
@@ -54,15 +54,10 @@ class ConservativeGovernor final : public Governor {
   ConservativeGovernor(const power::VfTable& table, ConservativeConfig config)
       : table_(table), config_(config) {}
 
-  Hertz decide(double utilization, Hertz current) override {
-    const std::size_t index = table_.indexOf(table_.floorFor(current).frequency);
-    if (utilization >= config_.upThreshold && index + 1 < table_.size()) {
-      return table_.point(index + 1).frequency;
-    }
-    if (utilization <= config_.downThreshold && index > 0) {
-      return table_.point(index - 1).frequency;
-    }
-    return table_.point(index).frequency;
+  std::size_t decide(double utilization, std::size_t current) override {
+    if (utilization >= config_.upThreshold && current + 1 < table_.size()) return current + 1;
+    if (utilization <= config_.downThreshold && current > 0) return current - 1;
+    return current;
   }
 
   GovernorKind kind() const noexcept override { return GovernorKind::Conservative; }
@@ -72,35 +67,16 @@ class ConservativeGovernor final : public Governor {
   ConservativeConfig config_;
 };
 
-class PerformanceGovernor final : public Governor {
+/// performance, powersave and userspace: one fixed P-state.
+class FixedGovernor final : public Governor {
  public:
-  explicit PerformanceGovernor(const power::VfTable& table) : table_(table) {}
-  Hertz decide(double, Hertz) override { return table_.highest().frequency; }
-  GovernorKind kind() const noexcept override { return GovernorKind::Performance; }
+  FixedGovernor(GovernorKind kind, std::size_t pstate) : kind_(kind), pstate_(pstate) {}
+  std::size_t decide(double, std::size_t) override { return pstate_; }
+  GovernorKind kind() const noexcept override { return kind_; }
 
  private:
-  const power::VfTable& table_;
-};
-
-class PowersaveGovernor final : public Governor {
- public:
-  explicit PowersaveGovernor(const power::VfTable& table) : table_(table) {}
-  Hertz decide(double, Hertz) override { return table_.lowest().frequency; }
-  GovernorKind kind() const noexcept override { return GovernorKind::Powersave; }
-
- private:
-  const power::VfTable& table_;
-};
-
-class UserspaceGovernor final : public Governor {
- public:
-  UserspaceGovernor(const power::VfTable& table, Hertz target)
-      : frequency_(table.floorFor(target).frequency) {}
-  Hertz decide(double, Hertz) override { return frequency_; }
-  GovernorKind kind() const noexcept override { return GovernorKind::Userspace; }
-
- private:
-  Hertz frequency_;
+  GovernorKind kind_;
+  std::size_t pstate_;
 };
 
 }  // namespace
@@ -113,13 +89,14 @@ std::unique_ptr<Governor> makeGovernor(const GovernorSetting& setting,
     case GovernorKind::Conservative:
       return std::make_unique<ConservativeGovernor>(table, ConservativeConfig{});
     case GovernorKind::Performance:
-      return std::make_unique<PerformanceGovernor>(table);
+      return std::make_unique<FixedGovernor>(setting.kind, table.size() - 1);
     case GovernorKind::Powersave:
-      return std::make_unique<PowersaveGovernor>(table);
+      return std::make_unique<FixedGovernor>(setting.kind, 0);
     case GovernorKind::Userspace:
       expects(setting.userspaceFrequency > 0.0,
               "Userspace governor requires a positive target frequency");
-      return std::make_unique<UserspaceGovernor>(table, setting.userspaceFrequency);
+      return std::make_unique<FixedGovernor>(setting.kind,
+                                             table.floorIndex(setting.userspaceFrequency));
   }
   throw PreconditionError("makeGovernor: unknown governor kind");
 }

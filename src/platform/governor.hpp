@@ -2,10 +2,11 @@
 //
 // These are compact re-implementations of the five Linux governors the paper
 // uses as its action space: ondemand, conservative, performance, powersave
-// and userspace. Each governor maps the recent utilization of a core to a
-// frequency request, which DVFS snaps to an operating point of the VfTable.
+// and userspace. Each governor maps the recent utilization of a core to an
+// operating point of the VfTable, named by its index (the P-state).
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -41,9 +42,9 @@ class Governor {
   virtual ~Governor() = default;
 
   /// @param utilization  busy fraction of the core over the last period, [0,1]
-  /// @param current      the core's current frequency
-  /// @returns the frequency the core should run at next period
-  [[nodiscard]] virtual Hertz decide(double utilization, Hertz current) = 0;
+  /// @param current      the core's current P-state (an index into the table)
+  /// @returns the P-state the core should run at next period
+  [[nodiscard]] virtual std::size_t decide(double utilization, std::size_t current) = 0;
 
   [[nodiscard]] virtual GovernorKind kind() const noexcept = 0;
 

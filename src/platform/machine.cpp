@@ -1,7 +1,9 @@
 #include "platform/machine.hpp"
 
 #include <algorithm>
+#include <cmath>
 
+#include "common/contracts.hpp"
 #include "common/error.hpp"
 
 namespace rltherm::platform {
@@ -19,8 +21,8 @@ std::vector<CoreTypeSpec> bigLittleCoreTypes() {
 Machine::Machine(const MachineConfig& config)
     : config_(config),
       vfTable_(power::VfTable::defaultQuadCore()),
-      dynamicModel_(config.dynamicPower),
-      leakageModel_(config.leakage),
+      power_(vfTable_, power::DynamicPowerModel(config.dynamicPower),
+             power::LeakagePowerModel(config.leakage)),
       package_(config.thermal, config.coreCount, config.thermalCellsPerCoreSide),
       sensors_(config.sensor, config.sensorSeed),
       scheduler_([&] {
@@ -28,7 +30,8 @@ Machine::Machine(const MachineConfig& config)
         s.coreCount = config.coreCount;
         return std::make_unique<sched::Scheduler>(s);
       }()),
-      counters_(config.perf) {
+      counters_(config.perf),
+      cores_(config.coreCount) {
   expects(config.tick > 0.0, "Machine tick must be > 0");
   expects(config.governorPeriod >= config.tick,
           "Governor period must be at least one tick");
@@ -41,34 +44,38 @@ Machine::Machine(const MachineConfig& config)
   }
   expects(config.throttleTemp >= 0.0 && config.throttleHysteresis > 0.0,
           "Invalid thermal-throttle configuration");
+  const std::size_t top = vfTable_.size() - 1;
+  for (std::size_t c = 0; c < config.coreCount; ++c) {
+    const CoreTypeSpec& type = coreType(c);
+    Core& core = cores_[c];
+    core.pstate = top;
+    core.ceiling = type.maxFrequency > 0.0 ? vfTable_.floorIndex(type.maxFrequency) : top;
+    core.ipcScale = type.ipcScale;
+    core.dynamicPowerScale = type.dynamicPowerScale;
+    core.leakageScale = type.leakageScale;
+  }
   package_.prepare(config.tick);
   if (config.warmStart) {
     // Idle steady state: lowest operating point, no workload activity.
     // Leakage depends on temperature, so fixed-point iterate a few times.
-    const power::OperatingPoint idleOp = vfTable_.lowest();
     for (int pass = 0; pass < 3; ++pass) {
       std::vector<Watts> corePower(config.coreCount);
       for (std::size_t c = 0; c < config.coreCount; ++c) {
         const Celsius t = package_.coreMeanTemperature(c);
-        corePower[c] = dynamicModel_.power(idleOp, 0.0) * coreType(c).dynamicPowerScale +
-                       leakageModel_.power(idleOp.voltage, t) * coreType(c).leakageScale;
+        corePower[c] = power_.dynamic(0, 0.0, cores_[c].dynamicPowerScale) +
+                       power_.leakage(0, t, cores_[c].leakageScale);
       }
       thermal::RcNetwork& network = package_.network();
       network.setTemperatures(network.steadyState(package_.nodePower(corePower)));
     }
   }
-  coreFrequency_.assign(config.coreCount, vfTable_.highest().frequency);
-  throttleActive_.assign(config.coreCount, false);
-  windowBusyActivity_.assign(config.coreCount, 0.0);
-  windowTicks_.assign(config.coreCount, 0);
-  lastRunning_.assign(config.coreCount, std::nullopt);
+  for (const power::OperatingPoint& op : vfTable_.points()) {
+    tickWork_.push_back(config.tick * (op.frequency / vfTable_.highest().frequency));
+  }
   corePowerScratch_.assign(config.coreCount, 0.0);
   coreMeanScratch_.assign(config.coreCount, 0.0);
   corePeakScratch_.assign(config.coreCount, 0.0);
   executed_.reserve(config.coreCount);
-  for (const power::OperatingPoint& op : vfTable_.points()) {
-    leakageVoltageScale_.push_back(leakageModel_.voltageScale(op.voltage));
-  }
   setGovernor(config.initialGovernor);
 }
 
@@ -78,43 +85,27 @@ const CoreTypeSpec& Machine::coreType(std::size_t core) const {
   return config_.coreTypes.empty() ? kHomogeneous : config_.coreTypes[core];
 }
 
-Hertz Machine::clampForCore(std::size_t core, Hertz f) const {
-  const CoreTypeSpec& type = coreType(core);
-  if (type.maxFrequency > 0.0 && f > type.maxFrequency) {
-    return vfTable_.floorFor(type.maxFrequency).frequency;
+void Machine::installGovernor(Core& core, const GovernorSetting& setting) {
+  core.governor = makeGovernor(setting, vfTable_);
+  if (setting.kind == GovernorKind::Performance || setting.kind == GovernorKind::Powersave ||
+      setting.kind == GovernorKind::Userspace) {
+    // These governors hold one P-state whatever they are asked.
+    core.pstate = std::min(core.governor->decide(0.0, core.pstate), core.ceiling);
   }
-  return vfTable_.floorFor(f).frequency;
 }
 
 void Machine::setGovernor(const GovernorSetting& setting) {
   lastGovernorRequest_ = setting;
   // The interposer (fault injection) may swallow the request — and may
-  // itself call setCoreGovernor, so it must run before any state is torn
-  // down here.
+  // itself call setCoreGovernor, so it must run before any state changes.
   if (governorInterposer_ && !governorInterposer_(setting)) return;
-  governors_.clear();
-  governors_.reserve(config_.coreCount);
-  for (std::size_t c = 0; c < config_.coreCount; ++c) {
-    governors_.push_back(makeGovernor(setting, vfTable_));
-  }
+  for (Core& core : cores_) installGovernor(core, setting);
   governorSetting_ = setting;
-  // Immediate-effect policies apply right away, as `cpufreq-set -g` does;
-  // every request is clamped to the core type's DVFS ceiling.
-  for (std::size_t c = 0; c < config_.coreCount; ++c) {
-    if (setting.kind == GovernorKind::Performance) {
-      coreFrequency_[c] = clampForCore(c, vfTable_.highest().frequency);
-    } else if (setting.kind == GovernorKind::Powersave) {
-      coreFrequency_[c] = clampForCore(c, vfTable_.lowest().frequency);
-    } else if (setting.kind == GovernorKind::Userspace) {
-      coreFrequency_[c] = clampForCore(c, setting.userspaceFrequency);
-    }
-  }
 }
 
-TickResult Machine::tick(const ActivityFn& activityOf) {
-  expects(static_cast<bool>(activityOf), "Machine::tick requires an activity function");
+TickResult Machine::tick(ActivityFn activityOf) {
   const Seconds dt = config_.tick;
-  const Hertz fmax = vfTable_.highest().frequency;
+  const std::span<const power::OperatingPoint> points = vfTable_.points();
 
   // Per-core cell aggregates, once per tick: the throttle check and the
   // leakage term both read the pre-step temperatures.
@@ -124,72 +115,66 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
   // junction crosses the trip temperature, release below the hysteresis
   // band. The clamp overrides every software frequency request.
   if (config_.throttleTemp > 0.0) {
-    for (std::size_t c = 0; c < config_.coreCount; ++c) {
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+      Core& core = cores_[c];
       const Celsius junction = corePeakScratch_[c];
-      if (!throttleActive_[c] && junction >= config_.throttleTemp) {
-        throttleActive_[c] = true;
+      if (!core.throttled && junction >= config_.throttleTemp) {
+        core.throttled = true;
         ++throttleEvents_;
-      } else if (throttleActive_[c] &&
+      } else if (core.throttled &&
                  junction <= config_.throttleTemp - config_.throttleHysteresis) {
-        throttleActive_[c] = false;
+        core.throttled = false;
       }
-      if (throttleActive_[c]) coreFrequency_[c] = vfTable_.lowest().frequency;
+      if (core.throttled) core.pstate = 0;
     }
   }
 
   const sched::Dispatch& dispatch = scheduler_->schedule(dt);
 
   executed_.clear();
-  std::fill(corePowerScratch_.begin(), corePowerScratch_.end(), 0.0);
-  std::vector<Watts>& corePower = corePowerScratch_;
   Watts totalDynamic = 0.0;
   Watts totalStatic = 0.0;
 
-  for (std::size_t c = 0; c < config_.coreCount; ++c) {
-    const auto& runner = dispatch.running[c];
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    Core& core = cores_[c];
+    const std::optional<ThreadId>& runner = dispatch.running[c];
     double activity = 0.0;
     if (runner) {
       activity = activityOf(*runner);
       expects(activity >= 0.0 && activity <= 1.0, "Thread activity must be in [0, 1]");
       const double speed = scheduler_->coreSpeed(c);
-      const bool coolingDown = speed < 1.0;
-      counters_.recordExecution(coreFrequency_[c], dt, speed, coolingDown);
-      if (lastRunning_[c] != runner) counters_.recordContextSwitch();
+      counters_.recordExecution(points[core.pstate].frequency, dt, speed,
+                                /*coolingDown=*/speed < 1.0);
+      if (core.lastRunner != runner) counters_.recordContextSwitch();
       executed_.push_back(ThreadExecution{
           .thread = *runner,
           .core = static_cast<CoreId>(c),
           // During a control-plane stall the thread occupies the core (and
           // burns power) but makes no forward progress. A little core
           // retires proportionally less work per cycle (ipcScale).
-          .progress = stallRemaining_ > 0.0
-                          ? 0.0
-                          : dt * (coreFrequency_[c] / fmax) * speed * coreType(c).ipcScale,
+          .progress = stallRemaining_ > 0.0 ? 0.0 : tickWork_[core.pstate] * speed * core.ipcScale,
       });
     }
-    lastRunning_[c] = runner;
+    core.lastRunner = runner;
 
-    // Fused power model: dynamic + leakage for this core computed in the
-    // same pass that dispatched it (no separate power loop, no per-tick
-    // allocation — the thermal package reads corePowerScratch_ directly). The
-    // leakage voltage factor comes from the per-P-state table built in the
-    // constructor. An offline (retired) core is power-gated: no dynamic
-    // switching and no leakage, so its node cools toward ambient.
+    // Dynamic + leakage power for this core from the per-P-state tables, in
+    // the same pass that dispatched it; the thermal package reads
+    // corePowerScratch_ directly. An offline (retired) core is power-gated:
+    // no dynamic switching and no leakage, so its node cools toward ambient.
+    Watts corePower = 0.0;
     if (scheduler_->coreOnline(static_cast<CoreId>(c))) {
-      const power::OperatingPoint& op = vfTable_.floorFor(coreFrequency_[c]);
-      const auto point = static_cast<std::size_t>(&op - vfTable_.points().data());
-      const CoreTypeSpec& type = coreType(c);
-      const Watts dyn = dynamicModel_.power(op, activity) * type.dynamicPowerScale;
-      const Watts leak =
-          leakageModel_.powerScaled(leakageVoltageScale_[point], coreMeanScratch_[c]) *
-          type.leakageScale;
-      corePower[c] = dyn + leak;
+      const Watts dyn = power_.dynamic(core.pstate, activity, core.dynamicPowerScale);
+      const Watts leak = power_.leakage(core.pstate, coreMeanScratch_[c], core.leakageScale);
+      RLTHERM_ENSURE(dyn >= 0.0 && leak >= 0.0 && std::isfinite(dyn + leak),
+                     "Machine::tick: core power must be finite and >= 0");
+      corePower = dyn + leak;
       totalDynamic += dyn;
       totalStatic += leak;
     }
-
-    windowBusyActivity_[c] += runner ? activity : 0.0;
-    ++windowTicks_[c];
+    corePowerScratch_[c] = corePower;
+    core.windowActivity += activity;
   }
+  ++windowTicks_;
 
   // Migration accounting (scheduler counts them; mirror into perf counters).
   const std::uint64_t migrations = scheduler_->totalMigrations();
@@ -197,27 +182,23 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
   lastMigrations_ = migrations;
 
   // Thermal step with this tick's power map.
-  package_.network().step(corePower);
+  package_.network().step(corePowerScratch_);
 
   meter_.record(totalDynamic, totalStatic, dt);
   stallRemaining_ = std::max(0.0, stallRemaining_ - dt);
   now_ += dt;
 
   // Governor sampling period elapsed: let each core's governor pick the next
-  // frequency from the utilization observed over the window.
+  // P-state from the utilization observed over the window.
   sinceGovernor_ += dt;
   if (sinceGovernor_ + 1e-12 >= config_.governorPeriod) {
-    for (std::size_t c = 0; c < config_.coreCount; ++c) {
-      const double utilization =
-          windowTicks_[c] == 0
-              ? 0.0
-              : windowBusyActivity_[c] / static_cast<double>(windowTicks_[c]);
-      const Hertz next = governors_[c]->decide(utilization, coreFrequency_[c]);
-      coreFrequency_[c] =
-          throttleActive_[c] ? vfTable_.lowest().frequency : clampForCore(c, next);
-      windowBusyActivity_[c] = 0.0;
-      windowTicks_[c] = 0;
+    for (Core& core : cores_) {
+      const double utilization = core.windowActivity / static_cast<double>(windowTicks_);
+      const std::size_t next = core.governor->decide(utilization, core.pstate);
+      core.pstate = core.throttled ? 0 : std::min(next, core.ceiling);
+      core.windowActivity = 0.0;
     }
+    windowTicks_ = 0;
     sinceGovernor_ = 0.0;
   }
 
@@ -225,39 +206,32 @@ TickResult Machine::tick(const ActivityFn& activityOf) {
       .executed = executed_, .dynamicPower = totalDynamic, .staticPower = totalStatic};
 }
 
-std::vector<Celsius> Machine::readSensors() {
-  std::vector<Celsius> hottest(config_.coreCount);
-  for (std::size_t c = 0; c < config_.coreCount; ++c) {
-    hottest[c] = package_.corePeakTemperature(c);
-  }
-  return sensors_.read(hottest);
+void Machine::readSensors(std::span<Celsius> out) {
+  expects(out.size() == cores_.size(), "readSensors: one reading per core");
+  for (std::size_t c = 0; c < out.size(); ++c) out[c] = package_.corePeakTemperature(c);
+  sensors_.read(out, out);
 }
 
-std::vector<Celsius> Machine::trueCoreTemperatures() const {
-  std::vector<Celsius> temps(config_.coreCount);
-  for (std::size_t c = 0; c < config_.coreCount; ++c) {
-    temps[c] = package_.coreMeanTemperature(c);
-  }
-  return temps;
+void Machine::trueCoreTemperatures(std::span<Celsius> out) const {
+  expects(out.size() == cores_.size(), "trueCoreTemperatures: one value per core");
+  for (std::size_t c = 0; c < out.size(); ++c) out[c] = package_.coreMeanTemperature(c);
 }
 
-std::vector<Hertz> Machine::coreFrequencies() const { return coreFrequency_; }
+std::vector<Hertz> Machine::coreFrequencies() const {
+  std::vector<Hertz> frequencies;
+  frequencies.reserve(cores_.size());
+  for (const Core& core : cores_) frequencies.push_back(vfTable_.point(core.pstate).frequency);
+  return frequencies;
+}
 
 void Machine::setCoreGovernor(std::size_t core, const GovernorSetting& setting) {
   expects(core < config_.coreCount, "setCoreGovernor: core index out of range");
-  governors_[core] = makeGovernor(setting, vfTable_);
-  if (setting.kind == GovernorKind::Performance) {
-    coreFrequency_[core] = clampForCore(core, vfTable_.highest().frequency);
-  } else if (setting.kind == GovernorKind::Powersave) {
-    coreFrequency_[core] = clampForCore(core, vfTable_.lowest().frequency);
-  } else if (setting.kind == GovernorKind::Userspace) {
-    coreFrequency_[core] = clampForCore(core, setting.userspaceFrequency);
-  }
+  installGovernor(cores_[core], setting);
 }
 
 bool Machine::throttled(std::size_t core) const {
   expects(core < config_.coreCount, "throttled: core index out of range");
-  return throttleActive_[core];
+  return cores_[core].throttled;
 }
 
 void Machine::setCoreOnline(std::size_t core, bool online) {

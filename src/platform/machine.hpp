@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/function_ref.hpp"
 #include "common/types.hpp"
 #include "platform/governor.hpp"
 #include "platform/perf_counters.hpp"
@@ -106,11 +107,12 @@ class Machine {
   explicit Machine(const MachineConfig& config);
 
   /// Thread activity supplier: called once per running thread per tick with
-  /// the thread id; must return switching activity in [0, 1].
-  using ActivityFn = std::function<double(ThreadId)>;
+  /// the thread id; must return switching activity in [0, 1]. A non-owning
+  /// reference: bind it to a callable that outlives the tick() call.
+  using ActivityFn = FunctionRef<double(ThreadId)>;
 
   /// Advance the platform by one tick. See class comment for the contract.
-  TickResult tick(const ActivityFn& activityOf);
+  TickResult tick(ActivityFn activityOf);
 
   /// --- control surface (what a thermal manager may touch) ---
   [[nodiscard]] sched::Scheduler& scheduler() noexcept { return *scheduler_; }
@@ -178,12 +180,23 @@ class Machine {
 
   /// --- observation surface ---
   /// Sample the on-board sensors (noisy, quantized core temperatures; at
-  /// grid resolution these read each core's hottest cell).
-  [[nodiscard]] std::vector<Celsius> readSensors();
+  /// grid resolution these read each core's hottest cell) into `out`, one
+  /// reading per core.
+  void readSensors(std::span<Celsius> out);
+  [[nodiscard]] std::vector<Celsius> readSensors() {
+    std::vector<Celsius> out(coreCount());
+    readSensors(out);
+    return out;
+  }
   /// Ground-truth junction temperatures (available to benches, not intended
-  /// for controllers; the paper's system only sees the sensors). Mean cell
-  /// temperature per core at grid resolution.
-  [[nodiscard]] std::vector<Celsius> trueCoreTemperatures() const;
+  /// for controllers; the paper's system only sees the sensors) into `out`,
+  /// one per core. Mean cell temperature per core at grid resolution.
+  void trueCoreTemperatures(std::span<Celsius> out) const;
+  [[nodiscard]] std::vector<Celsius> trueCoreTemperatures() const {
+    std::vector<Celsius> out(coreCount());
+    trueCoreTemperatures(out);
+    return out;
+  }
 
   [[nodiscard]] std::vector<Hertz> coreFrequencies() const;
   /// The sensor bank (mutable access enables fault injection in tests and
@@ -207,12 +220,31 @@ class Machine {
   void resetAccounting();
 
  private:
-  [[nodiscard]] Hertz clampForCore(std::size_t core, Hertz f) const;
+  /// Everything the machine keeps per core.
+  struct Core {
+    /// The core's operating point, as an index into vfTable_: the DVFS state.
+    /// Its frequency is read off the table.
+    std::size_t pstate = 0;
+    /// Highest P-state the core type allows (its maxFrequency, floored).
+    std::size_t ceiling = 0;
+    double ipcScale = 1.0;
+    double dynamicPowerScale = 1.0;
+    double leakageScale = 1.0;
+    bool throttled = false;
+    /// Activity summed over the ticks of the current governor window.
+    double windowActivity = 0.0;
+    std::optional<ThreadId> lastRunner;
+    std::unique_ptr<Governor> governor;
+  };
+
+  /// Makes `setting` the core's governor. Performance, powersave and
+  /// userspace also take effect at once, as `cpufreq-set -g` does; every
+  /// P-state is capped at the core's ceiling.
+  void installGovernor(Core& core, const GovernorSetting& setting);
 
   MachineConfig config_;
   power::VfTable vfTable_;
-  power::DynamicPowerModel dynamicModel_;
-  power::LeakagePowerModel leakageModel_;
+  power::PStatePower power_;
   thermal::GridPackage package_;
   thermal::SensorBank sensors_;
   std::unique_ptr<sched::Scheduler> scheduler_;
@@ -222,17 +254,13 @@ class Machine {
   GovernorSetting governorSetting_;
   GovernorInterposer governorInterposer_;
   std::optional<GovernorSetting> lastGovernorRequest_;
-  std::vector<std::unique_ptr<Governor>> governors_;  // one per core
-  std::vector<Hertz> coreFrequency_;
-  std::vector<bool> throttleActive_;
+  std::vector<Core> cores_;
   std::uint64_t throttleEvents_ = 0;
 
-  // Governor sampling window accumulation.
+  // Governor sampling window: time and ticks since it opened.
   Seconds sinceGovernor_ = 0.0;
-  std::vector<double> windowBusyActivity_;  // sum of activity over window ticks
-  std::vector<std::size_t> windowTicks_;
+  std::size_t windowTicks_ = 0;
 
-  std::vector<std::optional<ThreadId>> lastRunning_;
   std::uint64_t lastMigrations_ = 0;
   Seconds stallRemaining_ = 0.0;
   Seconds now_ = 0.0;
@@ -244,8 +272,8 @@ class Machine {
   std::vector<Celsius> coreMeanScratch_;
   std::vector<Celsius> corePeakScratch_;
   std::vector<ThreadExecution> executed_;
-  /// LeakagePowerModel::voltageScale of each VF-table point, by index.
-  std::vector<double> leakageVoltageScale_;
+  /// A tick's work at each P-state for speed and IPC scale 1: dt * f / f_max.
+  std::vector<Seconds> tickWork_;
 };
 
 }  // namespace rltherm::platform

@@ -4,14 +4,6 @@
 
 namespace rltherm::power {
 
-void EnergyMeter::record(Watts dynamicPower, Watts staticPower, Seconds dt) {
-  expects(dt >= 0.0, "EnergyMeter::record: negative duration");
-  expects(dynamicPower >= 0.0 && staticPower >= 0.0, "EnergyMeter::record: negative power");
-  dynamicEnergy_ += dynamicPower * dt;
-  staticEnergy_ += staticPower * dt;
-  elapsed_ += dt;
-}
-
 Watts EnergyMeter::averageDynamicPower() const noexcept {
   return elapsed_ > 0.0 ? dynamicEnergy_ / elapsed_ : 0.0;
 }

@@ -4,6 +4,7 @@
 // benches can report the paper's "dynamic energy" and "static energy" rows.
 #pragma once
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace rltherm::power {
@@ -12,7 +13,13 @@ class EnergyMeter {
  public:
   /// Account one simulator step of duration dt with the given chip-wide
   /// dynamic and static power.
-  void record(Watts dynamicPower, Watts staticPower, Seconds dt);
+  void record(Watts dynamicPower, Watts staticPower, Seconds dt) {
+    expects(dt >= 0.0, "EnergyMeter::record: negative duration");
+    expects(dynamicPower >= 0.0 && staticPower >= 0.0, "EnergyMeter::record: negative power");
+    dynamicEnergy_ += dynamicPower * dt;
+    staticEnergy_ += staticPower * dt;
+    elapsed_ += dt;
+  }
 
   [[nodiscard]] Joules dynamicEnergy() const noexcept { return dynamicEnergy_; }
   [[nodiscard]] Joules staticEnergy() const noexcept { return staticEnergy_; }

@@ -16,10 +16,7 @@ DynamicPowerModel::DynamicPowerModel(DynamicPowerConfig config) : config_(config
 
 Watts DynamicPowerModel::power(const OperatingPoint& op, double activity) const {
   expects(activity >= 0.0 && activity <= 1.0, "Activity must be in [0, 1]");
-  const double effectiveActivity =
-      config_.idleActivity + (1.0 - config_.idleActivity) * activity;
-  const Watts p = config_.effectiveCapacitance * op.voltage * op.voltage *
-                  op.frequency * effectiveActivity;
+  const Watts p = switchedPower(op) * effectiveActivity(activity);
   RLTHERM_ENSURE(p >= 0.0 && std::isfinite(p),
                  "DynamicPowerModel: power must be finite and >= 0");
   return p;
@@ -32,21 +29,26 @@ LeakagePowerModel::LeakagePowerModel(LeakagePowerConfig config) : config_(config
 }
 
 Watts LeakagePowerModel::power(Volts voltage, Celsius temperature) const {
-  return powerScaled(voltageScale(voltage), temperature);
-}
-
-double LeakagePowerModel::voltageScale(Volts voltage) const {
-  expects(voltage > 0.0, "Voltage must be > 0");
-  return std::pow(voltage / config_.referenceVoltage, config_.voltageExponent);
-}
-
-Watts LeakagePowerModel::powerScaled(double voltageScale, Celsius temperature) const {
-  const double tempScale =
-      std::exp(config_.tempSensitivity * (temperature - config_.referenceTemp));
-  const Watts p = config_.nominalLeakage * voltageScale * tempScale;
+  const Watts p = referencePower(voltage) * temperatureScale(temperature);
   RLTHERM_ENSURE(p >= 0.0 && std::isfinite(p),
                  "LeakagePowerModel: power must be finite and >= 0");
   return p;
+}
+
+Watts LeakagePowerModel::referencePower(Volts voltage) const {
+  expects(voltage > 0.0, "Voltage must be > 0");
+  return config_.nominalLeakage *
+         std::pow(voltage / config_.referenceVoltage, config_.voltageExponent);
+}
+
+PStatePower::PStatePower(const VfTable& table, const DynamicPowerModel& dynamic,
+                         const LeakagePowerModel& leakage)
+    : dynamic_(dynamic), leakage_(leakage) {
+  points_.reserve(table.size());
+  for (const OperatingPoint& op : table.points()) {
+    points_.push_back({.switched = dynamic.switchedPower(op),
+                       .leakageAtReference = leakage.referencePower(op.voltage)});
+  }
 }
 
 }  // namespace rltherm::power

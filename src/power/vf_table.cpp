@@ -1,7 +1,6 @@
 #include "power/vf_table.hpp"
 
-#include <algorithm>
-#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -30,27 +29,19 @@ VfTable VfTable::defaultQuadCore() {
   });
 }
 
-const OperatingPoint& VfTable::ceilingFor(Hertz f) const noexcept {
-  for (const OperatingPoint& p : points_) {
-    if (p.frequency >= f) return p;
-  }
-  return points_.back();
-}
-
-const OperatingPoint& VfTable::floorFor(Hertz f) const noexcept {
-  const OperatingPoint* best = &points_.front();
-  for (const OperatingPoint& p : points_) {
-    if (p.frequency <= f) best = &p;
-  }
-  return *best;
-}
-
-std::size_t VfTable::indexOf(Hertz f) const {
+std::size_t VfTable::ceilingIndex(Hertz f) const noexcept {
   for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (points_[i].frequency == f) return i;
+    if (points_[i].frequency >= f) return i;
   }
-  throw PreconditionError("VfTable::indexOf: frequency " + std::to_string(f) +
-                          " is not an operating point");
+  return points_.size() - 1;
+}
+
+std::size_t VfTable::floorIndex(Hertz f) const noexcept {
+  std::size_t best = 0;
+  for (std::size_t i = 0; i < points_.size(); ++i) {
+    if (points_[i].frequency <= f) best = i;
+  }
+  return best;
 }
 
 }  // namespace rltherm::power

@@ -38,19 +38,13 @@ class VfTable {
   [[nodiscard]] const OperatingPoint& lowest() const noexcept { return points_.front(); }
   [[nodiscard]] const OperatingPoint& highest() const noexcept { return points_.back(); }
 
-  /// Smallest operating point with frequency >= f (the point a governor
-  /// requesting frequency f would get); the highest point if f exceeds all.
-  [[nodiscard]] const OperatingPoint& ceilingFor(Hertz f) const noexcept;
+  /// Index of the smallest operating point with frequency >= f (the point a
+  /// governor requesting frequency f would get); the highest if f exceeds all.
+  [[nodiscard]] std::size_t ceilingIndex(Hertz f) const noexcept;
 
-  /// Largest operating point with frequency <= f; the lowest point if f is
-  /// below all.
-  [[nodiscard]] const OperatingPoint& floorFor(Hertz f) const noexcept;
-
-  /// Index of the point with exactly this frequency; throws if absent.
-  [[nodiscard]] std::size_t indexOf(Hertz f) const;
-
-  /// Index of the given point's frequency step, clamped neighbours.
-  [[nodiscard]] std::size_t indexOf(const OperatingPoint& p) const { return indexOf(p.frequency); }
+  /// Index of the largest operating point with frequency <= f; the lowest if
+  /// f is below all.
+  [[nodiscard]] std::size_t floorIndex(Hertz f) const noexcept;
 
  private:
   std::vector<OperatingPoint> points_;

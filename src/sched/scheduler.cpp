@@ -8,7 +8,7 @@
 namespace rltherm::sched {
 
 Scheduler::Scheduler(SchedulerConfig config) : config_(config) {
-  expects(config.coreCount >= 1 && config.coreCount <= 32,
+  expects(config.coreCount >= 1 && config.coreCount <= kMaxCores,
           "Scheduler supports 1..32 cores");
   expects(config.balanceInterval > 0.0, "Balance interval must be > 0");
   expects(config.migrationPenalty >= 0.0, "Migration penalty must be >= 0");
@@ -106,12 +106,6 @@ void Scheduler::wake(ThreadId id) {
 
 void Scheduler::finish(ThreadId id) { mutableThread(id).state = ThreadState::Finished; }
 
-bool Scheduler::coreOnline(CoreId core) const {
-  expects(static_cast<std::size_t>(core) < config_.coreCount,
-          "Scheduler::coreOnline: core beyond coreCount");
-  return online_.empty() || online_[static_cast<std::size_t>(core)] != 0;
-}
-
 std::size_t Scheduler::onlineCount() const noexcept {
   if (online_.empty()) return config_.coreCount;
   std::size_t count = 0;
@@ -169,15 +163,22 @@ const Dispatch& Scheduler::schedule(Seconds dt) {
     sinceBalance_ = 0.0;
   }
 
-  std::fill(dispatch_.waiting.begin(), dispatch_.waiting.end(), 0);
-  std::fill(runners_.begin(), runners_.end(), nullptr);
+  // Only last tick's runners can be Running: put them back in their queues
+  // (one blocked or finished since keeps its new state).
+  for (std::size_t core = 0; core < runners_.size(); ++core) {
+    ThreadInfo*& t = runners_[core];
+    if (t != nullptr && t->state == ThreadState::Running) t->state = ThreadState::Runnable;
+    t = nullptr;
+    dispatch_.waiting[core] = 0;
+  }
 
-  // One pass in dispatch order: demote last tick's runner back to runnable,
-  // tick down its migration cooldown, and pick, per core, the runnable
+  // One pass in dispatch order: tick down migration cooldowns that are still
+  // running (one at zero stays there) and pick, per core, the runnable
   // thread with the smallest vruntime (the first one met wins a tie).
   for (ThreadInfo* t : order_) {
-    if (t->state == ThreadState::Running) t->state = ThreadState::Runnable;
-    t->migrationCooldown = std::max(0.0, t->migrationCooldown - dt);
+    if (t->migrationCooldown > 0.0) {
+      t->migrationCooldown = std::max(0.0, t->migrationCooldown - dt);
+    }
     if (t->state != ThreadState::Runnable) continue;
     const auto core = static_cast<std::size_t>(t->core);
     ThreadInfo*& incumbent = runners_[core];
@@ -203,12 +204,6 @@ const Dispatch& Scheduler::schedule(Seconds dt) {
 
 double Scheduler::speedFactor(ThreadId id) const { return speedOf(thread(id)); }
 
-double Scheduler::coreSpeed(std::size_t core) const {
-  expects(core < config_.coreCount, "Scheduler::coreSpeed: core beyond coreCount");
-  const ThreadInfo* t = runners_[core];
-  return t != nullptr ? speedOf(*t) : 1.0;
-}
-
 const ThreadInfo& Scheduler::thread(ThreadId id) const {
   const auto it = threads_.find(id);
   expects(it != threads_.end(), "Scheduler: unknown thread id");
@@ -233,9 +228,10 @@ void Scheduler::balanceNow() {
     CoreId idlest = 0;
     double maxLoad = 0.0;
     double minLoad = std::numeric_limits<double>::max();
+    const CoreLoads loads = runnableLoads();
     for (std::size_t c = 0; c < config_.coreCount; ++c) {
       if (!coreOnline(static_cast<CoreId>(c))) continue;
-      const double load = runnableLoad(static_cast<CoreId>(c));
+      const double load = loads[c];
       if (load > maxLoad) {
         maxLoad = load;
         busiest = static_cast<CoreId>(c);
@@ -267,15 +263,14 @@ ThreadInfo& Scheduler::mutableThread(ThreadId id) {
   return it->second;
 }
 
-double Scheduler::runnableLoad(CoreId core) const {
-  double load = 0.0;
+Scheduler::CoreLoads Scheduler::runnableLoads() const {
+  CoreLoads loads{};
   for (const ThreadInfo* t : order_) {
-    if (t->core == core &&
-        (t->state == ThreadState::Runnable || t->state == ThreadState::Running)) {
-      load += t->weight;
+    if (t->state == ThreadState::Runnable || t->state == ThreadState::Running) {
+      loads[static_cast<std::size_t>(t->core)] += t->weight;
     }
   }
-  return load;
+  return loads;
 }
 
 bool Scheduler::anyOnlineAllowed(const AffinityMask& mask) const {
@@ -288,10 +283,11 @@ bool Scheduler::anyOnlineAllowed(const AffinityMask& mask) const {
 CoreId Scheduler::leastLoadedAllowed(const AffinityMask& mask) const {
   CoreId best = kInvalidCore;
   double bestLoad = std::numeric_limits<double>::max();
+  const CoreLoads loads = runnableLoads();
   for (const CoreId c : mask.cores()) {
     if (static_cast<std::size_t>(c) >= config_.coreCount) continue;
     if (!coreOnline(c)) continue;
-    const double load = runnableLoad(c);
+    const double load = loads[static_cast<std::size_t>(c)];
     if (load < bestLoad) {
       bestLoad = load;
       best = c;

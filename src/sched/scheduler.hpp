@@ -13,12 +13,14 @@
 // and extra synthetic cache misses.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 #include "sched/thread.hpp"
 
@@ -51,6 +53,9 @@ struct Dispatch {
 /// pins the resulting pick sequence).
 class Scheduler {
  public:
+  /// The most cores a scheduler supports (the affinity mask's width).
+  static constexpr std::size_t kMaxCores = 32;
+
   explicit Scheduler(SchedulerConfig config);
   /// Not copyable: the cached order and per-core runners point into the
   /// thread table.
@@ -86,7 +91,11 @@ class Scheduler {
   /// (the Linux hotplug behaviour: cpuset violations are resolved by reset,
   /// not by starving the thread). The last online core cannot be removed.
   void setCoreOnline(CoreId core, bool online);
-  [[nodiscard]] bool coreOnline(CoreId core) const;
+  [[nodiscard]] bool coreOnline(CoreId core) const {
+    expects(static_cast<std::size_t>(core) < config_.coreCount,
+            "Scheduler::coreOnline: core beyond coreCount");
+    return online_.empty() || online_[static_cast<std::size_t>(core)] != 0;
+  }
   /// Number of cores currently online.
   [[nodiscard]] std::size_t onlineCount() const noexcept;
   /// Times a hotplug had to break a thread's affinity mask to place it.
@@ -103,7 +112,11 @@ class Scheduler {
   [[nodiscard]] double speedFactor(ThreadId id) const;
   /// speedFactor() of the thread the last schedule() ran on `core`, without
   /// an id lookup; 1.0 for a core that ran nothing.
-  [[nodiscard]] double coreSpeed(std::size_t core) const;
+  [[nodiscard]] double coreSpeed(std::size_t core) const {
+    expects(core < config_.coreCount, "Scheduler::coreSpeed: core beyond coreCount");
+    const ThreadInfo* t = runners_[core];
+    return t != nullptr ? speedOf(*t) : 1.0;
+  }
 
   [[nodiscard]] const ThreadInfo& thread(ThreadId id) const;
   [[nodiscard]] std::vector<ThreadId> threadsOnCore(CoreId core) const;
@@ -122,7 +135,10 @@ class Scheduler {
   [[nodiscard]] double speedOf(const ThreadInfo& t) const noexcept {
     return t.migrationCooldown > 0.0 ? config_.migrationSpeedFactor : 1.0;
   }
-  [[nodiscard]] double runnableLoad(CoreId core) const;
+  /// Per core, the summed weight of its Runnable and Running threads, each
+  /// core's sum taken in dispatch order.
+  using CoreLoads = std::array<double, kMaxCores>;
+  [[nodiscard]] CoreLoads runnableLoads() const;
   [[nodiscard]] bool anyOnlineAllowed(const AffinityMask& mask) const;
   [[nodiscard]] CoreId leastLoadedAllowed(const AffinityMask& mask) const;
   void migrate(ThreadInfo& t, CoreId target);

@@ -52,16 +52,10 @@ Celsius SensorBank::readChannel(std::size_t index, Celsius trueTemp) {
 
 Celsius SensorBank::readOne(Celsius trueTemp) { return readChannel(0, trueTemp); }
 
-std::vector<Celsius> SensorBank::read(std::span<const Celsius> trueTemps) {
+void SensorBank::read(std::span<const Celsius> trueTemps, std::span<Celsius> out) {
+  expects(out.size() == trueTemps.size(), "SensorBank::read: one reading per channel");
   if (channels_.size() < trueTemps.size()) channels_.resize(trueTemps.size());
-  std::vector<Celsius> out;
-  out.reserve(trueTemps.size());
-  for (std::size_t i = 0; i < trueTemps.size(); ++i) {
-    out.push_back(readChannel(i, trueTemps[i]));
-  }
-  RLTHERM_ENSURE(out.size() == trueTemps.size(),
-                 "read: one reading per requested channel");
-  return out;
+  for (std::size_t i = 0; i < trueTemps.size(); ++i) out[i] = readChannel(i, trueTemps[i]);
 }
 
 void SensorBank::injectFault(std::size_t channel, SensorFault fault, Celsius parameter) {

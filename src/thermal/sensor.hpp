@@ -48,8 +48,14 @@ class SensorBank {
   SensorBank(SensorConfig config, std::uint64_t seed);
 
   /// Sample the sensors: true temperatures in, noisy quantized readings out
-  /// (with any injected faults applied per channel).
-  [[nodiscard]] std::vector<Celsius> read(std::span<const Celsius> trueTemps);
+  /// (with any injected faults applied per channel), one per input. `out`
+  /// may be `trueTemps` itself.
+  void read(std::span<const Celsius> trueTemps, std::span<Celsius> out);
+  [[nodiscard]] std::vector<Celsius> read(std::span<const Celsius> trueTemps) {
+    std::vector<Celsius> out(trueTemps.size());
+    read(trueTemps, out);
+    return out;
+  }
 
   /// Sample channel 0 only, THROUGH its fault path — a fault injected on
   /// channel 0 affects readOne exactly as it affects read(). (Single-sensor

@@ -2,16 +2,20 @@
 // power and leakage, counters, thermal step, governor window) and
 // WorkloadDriver::tick between application starts must not touch the heap,
 // in every driver mode: sequential, replicated at each degree, concurrent.
+// The sample path, the sensor read and the ground-truth read into caller
+// buffers, must not either.
 //
 // The binary replaces the global allocation functions with counting ones,
 // which is why it is built on its own (ctest label `alloc`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "platform/machine.hpp"
 #include "workload/driver.hpp"
@@ -127,6 +131,44 @@ TEST_P(SteadyMachineTick, ThousandTicksAllocateNothing) {
   });
   EXPECT_EQ(counted, 0u);
   EXPECT_EQ(executions, 1000u * machine.coreCount());
+}
+
+TEST_P(SteadyMachineTick, SampledTicksAllocateNothing) {
+  platform::MachineConfig config;
+  config.thermalCellsPerCoreSide = GetParam();
+  platform::Machine machine(config);
+  for (ThreadId id = 1; id <= 6; ++id) {
+    machine.scheduler().addThread(id, sched::AffinityMask::all(machine.coreCount()));
+  }
+  const auto activity = [](ThreadId id) { return 0.1 * static_cast<double>(id); };
+  std::vector<Celsius> readings(machine.coreCount());
+  std::vector<Celsius> truth(machine.coreCount());
+  // The first read creates the sensor channels.
+  machine.readSensors(readings);
+  for (int i = 0; i < 200; ++i) (void)machine.tick(activity);
+
+  int sensorReads = 0;
+  int truthReads = 0;
+  Celsius hottest = 0.0;
+  const std::size_t counted = allocationsDuring([&] {
+    for (int i = 1; i <= 3000; ++i) {
+      (void)machine.tick(activity);
+      if (i % 300 == 0) {
+        machine.readSensors(readings);
+        ++sensorReads;
+        for (const Celsius r : readings) hottest = std::max(hottest, r);
+      }
+      if (i % 100 == 0) {
+        machine.trueCoreTemperatures(truth);
+        ++truthReads;
+      }
+    }
+  });
+  EXPECT_EQ(counted, 0u);
+  EXPECT_EQ(sensorReads, 10);
+  EXPECT_EQ(truthReads, 30);
+  EXPECT_GT(hottest, 0.0);
+  EXPECT_GT(truth[0], 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Plants, SteadyMachineTick, ::testing::Values(1u, 4u));

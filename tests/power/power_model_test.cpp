@@ -87,21 +87,21 @@ TEST(LeakagePowerTest, InvalidInputsRejected) {
 }
 
 TEST(LeakagePowerTest, PrecomputedVoltageScaleIsBitIdentical) {
-  // The machine computes voltageScale() once per P-state and calls
-  // powerScaled() every tick; both must reproduce power(), and the original
-  // single-expression formula, bit for bit.
+  // A machine computes referencePower() once per P-state and multiplies by
+  // temperatureScale() every tick; both must reproduce power(), and the
+  // original single-expression formula, bit for bit.
   const LeakagePowerModel model;
   const LeakagePowerConfig& c = model.config();
   const auto sameBits = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
   const VfTable table = VfTable::defaultQuadCore();
   for (const OperatingPoint& op : table.points()) {
-    const double scale = model.voltageScale(op.voltage);
+    const Watts atReference = model.referencePower(op.voltage);
     for (Celsius t = -10.0; t <= 120.0; t += 0.37) {
       const Watts direct = model.power(op.voltage, t);
       const Watts oracle = c.nominalLeakage *
                            std::pow(op.voltage / c.referenceVoltage, c.voltageExponent) *
                            std::exp(c.tempSensitivity * (t - c.referenceTemp));
-      EXPECT_TRUE(sameBits(model.powerScaled(scale, t), direct))
+      EXPECT_TRUE(sameBits(atReference * model.temperatureScale(t), direct))
           << "V=" << op.voltage << " T=" << t;
       EXPECT_TRUE(sameBits(direct, oracle)) << "V=" << op.voltage << " T=" << t;
     }

@@ -24,24 +24,18 @@ TEST(VfTableTest, AscendingValidation) {
 
 TEST(VfTableTest, CeilingFor) {
   const VfTable table = VfTable::defaultQuadCore();
-  EXPECT_DOUBLE_EQ(table.ceilingFor(1.0e9).frequency, 1.6e9);
-  EXPECT_DOUBLE_EQ(table.ceilingFor(2.0e9).frequency, 2.0e9);
-  EXPECT_DOUBLE_EQ(table.ceilingFor(2.1e9).frequency, 2.4e9);
-  EXPECT_DOUBLE_EQ(table.ceilingFor(9.9e9).frequency, 3.4e9);
+  EXPECT_EQ(table.ceilingIndex(1.0e9), 0u);
+  EXPECT_EQ(table.ceilingIndex(2.0e9), 1u);
+  EXPECT_EQ(table.ceilingIndex(2.1e9), 2u);
+  EXPECT_EQ(table.ceilingIndex(9.9e9), 4u);
 }
 
 TEST(VfTableTest, FloorFor) {
   const VfTable table = VfTable::defaultQuadCore();
-  EXPECT_DOUBLE_EQ(table.floorFor(1.0e9).frequency, 1.6e9);
-  EXPECT_DOUBLE_EQ(table.floorFor(2.0e9).frequency, 2.0e9);
-  EXPECT_DOUBLE_EQ(table.floorFor(2.3e9).frequency, 2.0e9);
-  EXPECT_DOUBLE_EQ(table.floorFor(9.9e9).frequency, 3.4e9);
-}
-
-TEST(VfTableTest, IndexOf) {
-  const VfTable table = VfTable::defaultQuadCore();
-  EXPECT_EQ(table.indexOf(2.4e9), 2u);
-  EXPECT_THROW((void)table.indexOf(2.5e9), PreconditionError);
+  EXPECT_EQ(table.floorIndex(1.0e9), 0u);
+  EXPECT_EQ(table.floorIndex(2.0e9), 1u);
+  EXPECT_EQ(table.floorIndex(2.3e9), 1u);
+  EXPECT_EQ(table.floorIndex(9.9e9), 4u);
 }
 
 TEST(VfTableTest, VoltageGrowsWithFrequency) {
@@ -53,8 +47,8 @@ TEST(VfTableTest, VoltageGrowsWithFrequency) {
 
 TEST(VfTableTest, SinglePointTable) {
   const VfTable table({{2.0e9, 1.0}});
-  EXPECT_DOUBLE_EQ(table.ceilingFor(9e9).frequency, 2.0e9);
-  EXPECT_DOUBLE_EQ(table.floorFor(1e9).frequency, 2.0e9);
+  EXPECT_EQ(table.ceilingIndex(9e9), 0u);
+  EXPECT_EQ(table.floorIndex(1e9), 0u);
 }
 
 }  // namespace
