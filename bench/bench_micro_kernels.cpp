@@ -320,7 +320,7 @@ void writeReport(const std::string& path, std::size_t reps, const bench::ReportM
                  const std::vector<Measured>& measured) {
   std::ofstream out(path);
   expects(out.good(), "cannot write '" + path + "'");
-  obs::JsonWriter json(out);
+  JsonWriter json(out);
   json.beginObject();
   json.key("suite").value("micro_kernels");
   bench::writePerfSections(json, meta);

@@ -26,7 +26,7 @@
 #include "core/runner.hpp"
 #include "core/thermal_manager.hpp"
 #include "exec/sweep.hpp"
-#include "obs/json.hpp"
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
 #include "obs/timeline.hpp"
@@ -214,7 +214,7 @@ inline ReportMeta metaOf(const exec::SweepResult& sweep) {
 /// harness, the CLI --json summaries) emit the exact same schema as
 /// writeJsonReport. Field names are the contract with the perf gate in
 /// scripts/check.sh step 13 (fingerprint, schema_version).
-inline void writePerfSections(obs::JsonWriter& json, const ReportMeta& meta) {
+inline void writePerfSections(JsonWriter& json, const ReportMeta& meta) {
   json.key("schema_version")
       .value(static_cast<std::uint64_t>(obs::kPerfSchemaVersion));
   json.key("fingerprint");
@@ -274,7 +274,7 @@ inline void writeJsonReport(const TextTable& table, const std::string& suite,
                             const std::vector<std::pair<std::string, double>>& extra = {}) {
   std::ofstream out(path);
   expects(out.good(), "cannot write '" + path + "'");
-  obs::JsonWriter json(out);
+  JsonWriter json(out);
   json.beginObject();
   json.key("suite").value(suite);
   writePerfSections(json, meta);

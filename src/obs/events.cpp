@@ -2,7 +2,7 @@
 
 #include <chrono>
 
-#include "obs/json.hpp"
+#include "common/json.hpp"
 
 namespace rltherm::obs {
 

@@ -1,64 +1,10 @@
-// Minimal streaming JSON writer shared by every observability backend (the
-// JSONL event sink, the Chrome trace exporter, the bench report writer).
-//
-// Hand-rolled on purpose: the project takes no third-party dependencies, and
-// the writers only ever need to EMIT JSON, never parse it. The writer keeps a
-// small nesting stack so commas and colons are placed automatically; misuse
-// (a value where a key is required, unbalanced begin/end) trips a contract.
-//
-// Number formatting: doubles are written with shortest-round-trip-ish "%.12g"
-// (enough for every metric the simulator produces), and non-finite doubles
-// become `null` — JSON has no NaN/Inf, and a reader choking on a bare `nan`
-// token is worse than an explicit null.
+// Compatibility alias: the JSON writer lives in common/json.hpp. This header
+// stays only because perfbench/perfbench.cpp includes it and names
+// obs::JsonWriter; everything else includes common/json.hpp directly.
 #pragma once
 
-#include <cstdint>
-#include <ostream>
-#include <string>
-#include <string_view>
+#include "common/json.hpp"
 
 namespace rltherm::obs {
-
-class JsonWriter {
- public:
-  /// The stream must outlive the writer.
-  explicit JsonWriter(std::ostream& out);
-
-  JsonWriter& beginObject();
-  JsonWriter& endObject();
-  JsonWriter& beginArray();
-  JsonWriter& endArray();
-
-  /// Object member key; must be followed by exactly one value/container.
-  JsonWriter& key(std::string_view name);
-
-  JsonWriter& value(bool v);
-  JsonWriter& value(std::int64_t v);
-  JsonWriter& value(std::uint64_t v);
-  JsonWriter& value(double v);
-  JsonWriter& value(std::string_view v);
-  JsonWriter& value(const char* v);
-  JsonWriter& valueNull();
-
-  /// Writes `text` as a JSON number when it lexes as one in full (the bench
-  /// tables format numeric cells as strings), otherwise as a JSON string.
-  JsonWriter& valueAuto(std::string_view text);
-
-  /// True once every opened object/array has been closed again.
-  [[nodiscard]] bool complete() const noexcept;
-
-  /// JSON string escaping (quotes not included).
-  [[nodiscard]] static std::string escape(std::string_view text);
-
- private:
-  void beforeValue();
-  void beforeContainerEnd(char expectedOpen);
-
-  std::ostream& out_;
-  std::string stack_;        ///< nesting: '{' or '[' per open container
-  bool keyPending_ = false;  ///< key() emitted, value must follow
-  bool needComma_ = false;   ///< a sibling value precedes the next one
-  bool rootWritten_ = false;
-};
-
+using rltherm::JsonWriter;
 }  // namespace rltherm::obs

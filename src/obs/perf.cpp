@@ -7,7 +7,7 @@
 #include <thread>
 
 #include "common/error.hpp"
-#include "obs/json.hpp"
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
 

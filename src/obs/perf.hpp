@@ -24,9 +24,11 @@
 #include <string>
 #include <vector>
 
-namespace rltherm::obs {
-
+namespace rltherm {
 class JsonWriter;
+}  // namespace rltherm
+
+namespace rltherm::obs {
 
 /// Schema version stamped into every perf-bearing JSON artifact. Readers
 /// (the perf gate in scripts/check.sh) refuse to compare across versions.

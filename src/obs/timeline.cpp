@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/json.hpp"
+#include "common/json.hpp"
 
 namespace rltherm::obs {
 

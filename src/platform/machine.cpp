@@ -48,8 +48,8 @@ Machine::Machine(const MachineConfig& config)
   for (std::size_t c = 0; c < config.coreCount; ++c) {
     const CoreTypeSpec& type = coreType(c);
     Core& core = cores_[c];
-    core.pstate = top;
     core.ceiling = type.maxFrequency > 0.0 ? vfTable_.floorIndex(type.maxFrequency) : top;
+    core.pstate = core.ceiling;
     core.ipcScale = type.ipcScale;
     core.dynamicPowerScale = type.dynamicPowerScale;
     core.leakageScale = type.leakageScale;

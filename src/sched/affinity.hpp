@@ -48,22 +48,12 @@ class AffinityMask {
   [[nodiscard]] constexpr bool empty() const noexcept { return bits_ == 0; }
   [[nodiscard]] int count() const noexcept { return std::popcount(bits_); }
 
-  /// Cores in the mask, ascending.
-  [[nodiscard]] std::vector<CoreId> cores() const {
-    std::vector<CoreId> out;
-    for (CoreId c = 0; c < 32; ++c) {
-      if (allows(c)) out.push_back(c);
-    }
-    return out;
-  }
-
+  /// The cores in ascending order, e.g. "{0,2}".
   [[nodiscard]] std::string toString() const {
     std::string s = "{";
-    bool first = true;
-    for (const CoreId c : cores()) {
-      if (!first) s += ",";
-      s += std::to_string(c);
-      first = false;
+    for (std::uint32_t bits = bits_; bits != 0; bits &= bits - 1) {
+      if (s.size() > 1) s += ",";
+      s += std::to_string(std::countr_zero(bits));
     }
     return s + "}";
   }

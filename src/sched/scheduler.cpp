@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/error.hpp"
@@ -17,15 +18,14 @@ Scheduler::Scheduler(SchedulerConfig config) : config_(config) {
   dispatch_.running.assign(config.coreCount, std::nullopt);
   dispatch_.waiting.assign(config.coreCount, 0);
   runners_.assign(config.coreCount, nullptr);
+  online_ = AffinityMask::all(config.coreCount);
 }
 
 void Scheduler::addThread(ThreadId id, AffinityMask affinity) {
   expects(!threads_.contains(id), "Scheduler::addThread: duplicate thread id");
   expects(!affinity.empty(), "Scheduler::addThread: empty affinity mask");
-  for (const CoreId c : affinity.cores()) {
-    expects(static_cast<std::size_t>(c) < config_.coreCount,
-            "Affinity mask references a core beyond coreCount");
-  }
+  expects((affinity.bits() & ~AffinityMask::all(config_.coreCount).bits()) == 0,
+          "Affinity mask references a core beyond coreCount");
   ThreadInfo t;
   t.id = id;
   t.affinity = affinity;
@@ -71,10 +71,8 @@ void Scheduler::rebuildOrder() {
 void Scheduler::setAffinity(ThreadId id, AffinityMask affinity) {
   expects(!affinity.empty(), "Scheduler::setAffinity: empty affinity mask");
   ThreadInfo& t = mutableThread(id);
-  for (const CoreId c : affinity.cores()) {
-    expects(static_cast<std::size_t>(c) < config_.coreCount,
-            "Affinity mask references a core beyond coreCount");
-  }
+  expects((affinity.bits() & ~AffinityMask::all(config_.coreCount).bits()) == 0,
+          "Affinity mask references a core beyond coreCount");
   t.affinity = affinity;
   if (!affinity.allows(t.core)) {
     if (anyOnlineAllowed(affinity)) {
@@ -106,23 +104,15 @@ void Scheduler::wake(ThreadId id) {
 
 void Scheduler::finish(ThreadId id) { mutableThread(id).state = ThreadState::Finished; }
 
-std::size_t Scheduler::onlineCount() const noexcept {
-  if (online_.empty()) return config_.coreCount;
-  std::size_t count = 0;
-  for (const char flag : online_) count += flag != 0 ? 1 : 0;
-  return count;
-}
-
 void Scheduler::setCoreOnline(CoreId core, bool online) {
   expects(static_cast<std::size_t>(core) < config_.coreCount,
           "Scheduler::setCoreOnline: core beyond coreCount");
   if (coreOnline(core) == online) return;
-  if (online_.empty()) online_.assign(config_.coreCount, 1);
   if (!online) {
     expects(onlineCount() > 1,
             "Scheduler::setCoreOnline: cannot take the last online core offline");
   }
-  online_[static_cast<std::size_t>(core)] = online ? 1 : 0;
+  online_ = AffinityMask(online_.bits() ^ AffinityMask::single(core).bits());
   if (online) return;  // the balancer pulls work onto a revived core
 
   // Evict every non-finished thread stranded on the dead core. Iterate ids in
@@ -134,20 +124,9 @@ void Scheduler::setCoreOnline(CoreId core, bool online) {
   std::sort(stranded.begin(), stranded.end());
   for (const ThreadId id : stranded) {
     ThreadInfo& t = threads_.at(id);
-    bool hasOnlineChoice = false;
-    for (const CoreId c : t.affinity.cores()) {
-      if (static_cast<std::size_t>(c) < config_.coreCount && coreOnline(c)) {
-        hasOnlineChoice = true;
-        break;
-      }
-    }
-    if (!hasOnlineChoice) {
+    if (!anyOnlineAllowed(t.affinity)) {
       // Affinity mask allows no live core: break it to all online cores.
-      std::vector<CoreId> live;
-      for (std::size_t c = 0; c < config_.coreCount; ++c) {
-        if (coreOnline(static_cast<CoreId>(c))) live.push_back(static_cast<CoreId>(c));
-      }
-      t.affinity = AffinityMask::of(live);
+      t.affinity = online_;
       ++affinityBreaks_;
     }
     migrate(t, leastLoadedAllowed(t.affinity));
@@ -274,19 +253,16 @@ Scheduler::CoreLoads Scheduler::runnableLoads() const {
 }
 
 bool Scheduler::anyOnlineAllowed(const AffinityMask& mask) const {
-  for (const CoreId c : mask.cores()) {
-    if (static_cast<std::size_t>(c) < config_.coreCount && coreOnline(c)) return true;
-  }
-  return false;
+  return (mask.bits() & online_.bits()) != 0;
 }
 
 CoreId Scheduler::leastLoadedAllowed(const AffinityMask& mask) const {
   CoreId best = kInvalidCore;
   double bestLoad = std::numeric_limits<double>::max();
   const CoreLoads loads = runnableLoads();
-  for (const CoreId c : mask.cores()) {
-    if (static_cast<std::size_t>(c) >= config_.coreCount) continue;
-    if (!coreOnline(c)) continue;
+  // Allowed online cores in ascending order, so ties go to the lowest id.
+  for (std::uint32_t bits = mask.bits() & online_.bits(); bits != 0; bits &= bits - 1) {
+    const auto c = static_cast<CoreId>(std::countr_zero(bits));
     const double load = loads[static_cast<std::size_t>(c)];
     if (load < bestLoad) {
       bestLoad = load;

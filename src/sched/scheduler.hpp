@@ -94,10 +94,12 @@ class Scheduler {
   [[nodiscard]] bool coreOnline(CoreId core) const {
     expects(static_cast<std::size_t>(core) < config_.coreCount,
             "Scheduler::coreOnline: core beyond coreCount");
-    return online_.empty() || online_[static_cast<std::size_t>(core)] != 0;
+    return online_.allows(core);
   }
   /// Number of cores currently online.
-  [[nodiscard]] std::size_t onlineCount() const noexcept;
+  [[nodiscard]] std::size_t onlineCount() const noexcept {
+    return static_cast<std::size_t>(online_.count());
+  }
   /// Times a hotplug had to break a thread's affinity mask to place it.
   [[nodiscard]] std::uint64_t affinityBreaks() const noexcept { return affinityBreaks_; }
 
@@ -150,9 +152,8 @@ class Scheduler {
   Dispatch dispatch_;
   /// Per core, the thread dispatch_ ran there (nullptr when idle).
   std::vector<ThreadInfo*> runners_;
-  /// Online flags, one per core; empty means "all online" (the common case
-  /// never allocates, keeping the hotplug-free path identical to before).
-  std::vector<char> online_;
+  /// The cores currently online.
+  AffinityMask online_;
   Seconds sinceBalance_ = 0.0;
   std::uint64_t totalMigrations_ = 0;
   std::uint64_t affinityBreaks_ = 0;

@@ -3,201 +3,52 @@
 #include <cstdlib>
 #include <exception>
 #include <initializer_list>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 
+#include "common/json.hpp"
 #include "common/strict_file.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
 
 namespace rltherm::serve {
 namespace {
 
-struct Value {
-  enum class Kind { String, Number, Boolean };
-  Kind kind = Kind::String;
-  std::string text;  ///< String: decoded chars; Number: raw token
-  bool boolean = false;
-};
-
-using Fields = std::map<std::string, Value>;
-
-[[nodiscard]] bool isDigits(const std::string& s, std::size_t from, std::size_t to) {
-  if (from >= to) return false;
-  for (std::size_t i = from; i < to; ++i) {
-    if (s[i] < '0' || s[i] > '9') return false;
-  }
-  return true;
-}
-
-/// Full-token JSON number check: -?digits[.digits][(e|E)[+-]digits].
-[[nodiscard]] bool isNumberToken(const std::string& token) {
-  std::size_t i = 0;
-  const std::size_t n = token.size();
-  if (i < n && token[i] == '-') ++i;
-  std::size_t intStart = i;
-  while (i < n && token[i] >= '0' && token[i] <= '9') ++i;
-  if (i == intStart) return false;
-  if (i < n && token[i] == '.') {
-    ++i;
-    std::size_t fracStart = i;
-    while (i < n && token[i] >= '0' && token[i] <= '9') ++i;
-    if (i == fracStart) return false;
-  }
-  if (i < n && (token[i] == 'e' || token[i] == 'E')) {
-    ++i;
-    if (i < n && (token[i] == '+' || token[i] == '-')) ++i;
-    std::size_t expStart = i;
-    while (i < n && token[i] >= '0' && token[i] <= '9') ++i;
-    if (i == expStart) return false;
-  }
-  return i == n;
-}
-
-/// Integer-syntax check (no fraction, no exponent).
+/// A number token (already valid JSON) with no fraction and no exponent.
 [[nodiscard]] bool isIntegerToken(const std::string& token) {
-  const std::size_t from = (!token.empty() && token[0] == '-') ? 1 : 0;
-  return isDigits(token, from, token.size());
+  return token.find_first_of(".eE") == std::string::npos;
 }
 
-/// Strict parser for one command line (grammar in protocol.hpp). Every
-/// failure goes through failParse for the canonical source:line diagnostic.
-class LineParser {
- public:
-  LineParser(const std::string& text, const std::string& source, std::size_t line)
-      : text_(text), source_(source), line_(line) {}
-
-  [[nodiscard]] Fields parse() {
-    skipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != '{') {
-      fail("expected '{' to open the command object");
-    }
-    ++pos_;
-    Fields fields;
-    skipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-    } else {
-      for (;;) {
-        skipSpace();
-        std::string key = parseString("a key");
-        if (fields.find(key) != fields.end()) fail("duplicate key '" + key + "'");
-        skipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != ':') {
-          fail("expected ':' after key '" + key + "'");
-        }
-        ++pos_;
-        skipSpace();
-        Value value = parseValue(key);
-        fields.emplace(std::move(key), std::move(value));
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-          ++pos_;
-          break;
-        }
-        fail("expected ',' or '}' in the command object");
-      }
-    }
-    skipSpace();
-    if (pos_ != text_.size()) fail("trailing characters after the command object");
-    return fields;
+/// Parses one command line (grammar in protocol.hpp) into its object.
+[[nodiscard]] JsonValue parseCommand(const std::string& text, const std::string& source,
+                                     std::size_t line) {
+  if (text.empty() || text.front() != '{') {
+    failParse(source, line, "expected '{' to open the command object");
   }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    failParse(source_, line_, message);
-  }
-
-  void skipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r')) {
-      ++pos_;
+  JsonValue command = parseJson(text, source, line, "the command object");
+  for (std::size_t i = 0; i < command.keys.size(); ++i) {
+    const JsonValue::Kind kind = command.items[i].kind;
+    if (kind != JsonValue::Kind::String && kind != JsonValue::Kind::Number &&
+        kind != JsonValue::Kind::Bool) {
+      failParse(source, line,
+                "unsupported value for key '" + command.keys[i] +
+                    "' (expected string, number, true or false)");
     }
   }
-
-  [[nodiscard]] std::string parseString(const char* what) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      fail(std::string("expected '\"' to open ") + what);
-    }
-    ++pos_;
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char escape = text_[pos_++];
-        switch (escape) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          default: fail(std::string("unsupported escape '\\") + escape + "'");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    fail("unterminated string");
-  }
-
-  [[nodiscard]] Value parseValue(const std::string& key) {
-    if (pos_ < text_.size() && text_[pos_] == '"') {
-      Value value;
-      value.kind = Value::Kind::String;
-      value.text = parseString("a string value");
-      return value;
-    }
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != ',' && text_[pos_] != '}' &&
-           text_[pos_] != ' ' && text_[pos_] != '\t' && text_[pos_] != '\r') {
-      ++pos_;
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    if (token == "true" || token == "false") {
-      Value value;
-      value.kind = Value::Kind::Boolean;
-      value.boolean = (token == "true");
-      return value;
-    }
-    if (!token.empty() && (token[0] == '-' || (token[0] >= '0' && token[0] <= '9'))) {
-      if (!isNumberToken(token)) fail("invalid number '" + token + "'");
-      Value value;
-      value.kind = Value::Kind::Number;
-      value.text = token;
-      return value;
-    }
-    fail("unsupported value for key '" + key +
-         "' (expected string, number, true or false)");
-  }
-
-  const std::string& text_;
-  const std::string& source_;
-  std::size_t line_;
-  std::size_t pos_ = 0;
-};
+  return command;
+}
 
 /// Typed, diagnostic access to a parsed command's fields.
 class CommandArgs {
  public:
-  CommandArgs(Fields fields, std::string cmd, const std::string& source,
+  CommandArgs(JsonValue command, std::string cmd, const std::string& source,
               std::size_t line)
-      : fields_(std::move(fields)), cmd_(std::move(cmd)), source_(source), line_(line) {}
+      : command_(std::move(command)), cmd_(std::move(cmd)), source_(source), line_(line) {}
 
   /// `valid` must be the sorted, comma-joined key list for the diagnostic.
   void allowKeys(std::initializer_list<const char*> keys, const char* valid) const {
-    for (const auto& [key, value] : fields_) {
+    for (const std::string& key : command_.keys) {
       bool known = false;
       for (const char* candidate : keys) {
         if (key == candidate) {
@@ -212,44 +63,41 @@ class CommandArgs {
     }
   }
 
-  [[nodiscard]] const Value* find(const char* key) const {
-    const auto it = fields_.find(key);
-    return it == fields_.end() ? nullptr : &it->second;
-  }
+  [[nodiscard]] const JsonValue* find(const char* key) const { return command_.find(key); }
 
   [[nodiscard]] std::string requireString(const char* key) const {
-    const Value* value = find(key);
+    const JsonValue* value = find(key);
     if (value == nullptr) {
       fail("command '" + cmd_ + "' requires key '" + key + "'");
     }
-    if (value->kind != Value::Kind::String) {
+    if (value->kind != JsonValue::Kind::String) {
       fail(std::string("key '") + key + "' must be a string");
     }
     return value->text;
   }
 
   [[nodiscard]] std::string stringOr(const char* key, std::string fallback) const {
-    const Value* value = find(key);
+    const JsonValue* value = find(key);
     if (value == nullptr) return fallback;
-    if (value->kind != Value::Kind::String) {
+    if (value->kind != JsonValue::Kind::String) {
       fail(std::string("key '") + key + "' must be a string");
     }
     return value->text;
   }
 
   [[nodiscard]] double numberOr(const char* key, double fallback) const {
-    const Value* value = find(key);
+    const JsonValue* value = find(key);
     if (value == nullptr) return fallback;
-    if (value->kind != Value::Kind::Number) {
+    if (value->kind != JsonValue::Kind::Number) {
       fail(std::string("key '") + key + "' must be a number");
     }
     return std::strtod(value->text.c_str(), nullptr);
   }
 
   [[nodiscard]] std::uint64_t uintOr(const char* key, std::uint64_t fallback) const {
-    const Value* value = find(key);
+    const JsonValue* value = find(key);
     if (value == nullptr) return fallback;
-    if (value->kind != Value::Kind::Number || !isIntegerToken(value->text) ||
+    if (value->kind != JsonValue::Kind::Number || !isIntegerToken(value->text) ||
         value->text[0] == '-') {
       fail(std::string("key '") + key + "' must be a non-negative integer");
     }
@@ -258,11 +106,11 @@ class CommandArgs {
 
   [[nodiscard]] std::int64_t intInRange(const char* key, std::int64_t lo,
                                         std::int64_t hi, std::int64_t fallback) const {
-    const Value* value = find(key);
+    const JsonValue* value = find(key);
     if (value == nullptr) return fallback;
     const std::string range =
         " must be an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
-    if (value->kind != Value::Kind::Number || !isIntegerToken(value->text)) {
+    if (value->kind != JsonValue::Kind::Number || !isIntegerToken(value->text)) {
       fail(std::string("key '") + key + "'" + range);
     }
     const std::int64_t parsed = std::strtoll(value->text.c_str(), nullptr, 10);
@@ -277,7 +125,7 @@ class CommandArgs {
   }
 
  private:
-  Fields fields_;
+  JsonValue command_;
   std::string cmd_;
   const std::string& source_;
   std::size_t line_;
@@ -290,7 +138,7 @@ struct Response {
 
 [[nodiscard]] Response errorResponse(const std::string& message) {
   std::ostringstream out;
-  obs::JsonWriter json(out);
+  JsonWriter json(out);
   json.beginObject();
   json.key("ok").value(false);
   json.key("error").value(message);
@@ -316,7 +164,7 @@ struct Response {
 
   const AdmitOutcome outcome = service.submit(request);
   std::ostringstream out;
-  obs::JsonWriter json(out);
+  JsonWriter json(out);
   json.beginObject();
   json.key("ok").value(outcome.accepted);
   json.key("cmd").value("admit");
@@ -342,7 +190,7 @@ struct Response {
     total.completed += report.completed;
   }
   std::ostringstream out;
-  obs::JsonWriter json(out);
+  JsonWriter json(out);
   json.beginObject();
   json.key("ok").value(true);
   json.key("cmd").value("step");
@@ -363,7 +211,7 @@ struct Response {
     return errorResponse("unknown tenant '" + tenant + "'");
   }
   std::ostringstream out;
-  obs::JsonWriter json(out);
+  JsonWriter json(out);
   json.beginObject();
   json.key("ok").value(true);
   json.key("cmd").value("query");
@@ -387,13 +235,13 @@ struct Response {
 
 [[nodiscard]] Response handleEvict(FleetService& service, const CommandArgs& args) {
   args.allowKeys({"cmd", "fingerprint", "tenant"}, "cmd, fingerprint, tenant");
-  const Value* tenant = args.find("tenant");
-  const Value* fingerprint = args.find("fingerprint");
+  const JsonValue* tenant = args.find("tenant");
+  const JsonValue* fingerprint = args.find("fingerprint");
   if ((tenant == nullptr) == (fingerprint == nullptr)) {
     args.fail("command 'evict' requires exactly one of 'tenant' or 'fingerprint'");
   }
   std::ostringstream out;
-  obs::JsonWriter json(out);
+  JsonWriter json(out);
   if (tenant != nullptr) {
     const std::string name = args.requireString("tenant");
     if (!service.evictTenant(name)) {
@@ -437,7 +285,7 @@ struct Response {
   args.allowKeys({"cmd"}, "cmd");
   const FleetStats stats = service.stats();
   std::ostringstream out;
-  obs::JsonWriter json(out);
+  JsonWriter json(out);
   json.beginObject();
   json.key("ok").value(true);
   json.key("cmd").value("stats");
@@ -477,18 +325,16 @@ std::string ServeSession::handleLine(const std::string& line) {
       failParse(source_, line_, "command exceeds " +
                                     std::to_string(kMaxCommandBytes) + " bytes");
     }
-    const std::string trimmed = trimWhitespace(line);
-    LineParser parser(trimmed, source_, line_);
-    Fields fields = parser.parse();
-    const auto cmdIt = fields.find("cmd");
-    if (cmdIt == fields.end()) {
+    JsonValue command = parseCommand(trimWhitespace(line), source_, line_);
+    const JsonValue* cmdValue = command.find("cmd");
+    if (cmdValue == nullptr) {
       failParse(source_, line_, "missing required key 'cmd'");
     }
-    if (cmdIt->second.kind != Value::Kind::String) {
+    if (cmdValue->kind != JsonValue::Kind::String) {
       failParse(source_, line_, "key 'cmd' must be a string");
     }
-    const std::string cmd = cmdIt->second.text;
-    const CommandArgs args(std::move(fields), cmd, source_, line_);
+    const std::string cmd = cmdValue->text;
+    const CommandArgs args(std::move(command), cmd, source_, line_);
     if (cmd == "admit") {
       response = handleAdmit(service_, args);
     } else if (cmd == "step") {
@@ -503,7 +349,7 @@ std::string ServeSession::handleLine(const std::string& line) {
       args.allowKeys({"cmd"}, "cmd");
       shutdown_ = true;
       std::ostringstream out;
-      obs::JsonWriter json(out);
+      JsonWriter json(out);
       json.beginObject();
       json.key("ok").value(true);
       json.key("cmd").value("shutdown");

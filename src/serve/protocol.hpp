@@ -1,21 +1,23 @@
 // Line protocol front end for the fleet service.
 //
 // One command per line, each a FLAT JSON object; one JSON response line per
-// command. The accepted grammar is a strict subset of JSON, in the spirit of
-// the fault-plan TOML subset (common/strict_file.hpp): explicit about what it
+// command. Lines are read by the project's strict JSON reader
+// (common/json.hpp), then held to a flat subset, in the spirit of the
+// fault-plan TOML subset (common/strict_file.hpp): explicit about what it
 // takes, diagnostic about everything else.
 //
 //   command   = "{" [ member ( "," member )* ] "}"
 //   member    = string ":" value
 //   value     = string | number | "true" | "false"
-//   string    = '"' chars '"'          ; escapes: \" \\ \/ \b \f \n \r \t
+//   string    = '"' chars '"'   ; escapes: \" \\ \/ \b \f \n \r \t \uXXXX
 //
-// No nesting, no arrays, no null, no \uXXXX escapes, and a hard cap of
-// kMaxCommandBytes per line. Every command object carries a "cmd" member
-// naming the verb: admit, evict, query, shutdown, stats, step. Unknown
-// verbs, unknown keys, missing required keys, type mismatches and trailing
-// input all fail with a "source:line: message" diagnostic (failParse), and
-// the exact strings are golden-tested in tests/serve/protocol_test.cpp.
+// No nesting, no arrays, no null, and a hard cap of kMaxCommandBytes per
+// line. \uXXXX escapes (surrogate pairs included) decode to UTF-8. Every
+// command object carries a "cmd" member naming the verb: admit, evict, query,
+// shutdown, stats, step. Unknown verbs, unknown keys, missing required keys,
+// type mismatches and trailing input all fail with a "source:line: message"
+// diagnostic (failParse), and the exact strings are golden-tested in
+// tests/serve/protocol_test.cpp.
 //
 // Responses are single JSON objects: {"ok":true,...} on success and
 // {"ok":false,"error":"..."} otherwise — both protocol errors and domain

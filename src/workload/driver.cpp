@@ -421,17 +421,11 @@ int WorkloadDriver::totalIterations(std::size_t slot) const {
 
 sched::AffinityMask WorkloadDriver::steerAway(const sched::AffinityMask& mask) const {
   if (avoid_.empty()) return mask;
-  const auto keep = [this](const sched::AffinityMask& m) {
-    std::vector<CoreId> cores;
-    for (CoreId c : m.cores()) {
-      if (!avoid_.allows(c)) cores.push_back(c);
-    }
-    return cores;
-  };
-  std::vector<CoreId> cores = keep(mask);
-  if (cores.empty()) cores = keep(sched::AffinityMask::all(machine_.coreCount()));
-  if (cores.empty()) return mask;  // everything is suspect: steering is moot
-  return sched::AffinityMask::of(cores);
+  const std::uint32_t avoided = avoid_.bits();
+  std::uint32_t kept = mask.bits() & ~avoided;
+  if (kept == 0) kept = sched::AffinityMask::all(machine_.coreCount()).bits() & ~avoided;
+  if (kept == 0) return mask;  // everything is suspect: steering is moot
+  return sched::AffinityMask(kept);
 }
 
 void WorkloadDriver::place(std::size_t s) {

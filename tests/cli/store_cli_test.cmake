@@ -82,6 +82,15 @@ expect_pass("inspect --json" inspect "${CKPT}" --json)
 expect_contains("inspect --json" "${OUT}" "\"format_version\"")
 expect_contains("inspect --json" "${OUT}" "\"fingerprint\"")
 expect_contains("inspect --json" "${OUT}" "\"sections\"")
+# The whole output must parse as JSON, with a non-empty "sections" array.
+string(JSON sections_type ERROR_VARIABLE json_error TYPE "${OUT}" sections)
+if(json_error OR NOT sections_type STREQUAL "ARRAY")
+  message(FATAL_ERROR "inspect --json: not JSON with a \"sections\" array (${json_error}):\n${OUT}")
+endif()
+string(JSON section_count LENGTH "${OUT}" sections)
+if(section_count EQUAL 0)
+  message(FATAL_ERROR "inspect --json: the \"sections\" array is empty:\n${OUT}")
+endif()
 
 expect_pass("eval" eval --config "${WORK_DIR}/tiny.ini" --policy "${CKPT}")
 expect_pass("run --resume" run --config "${WORK_DIR}/tiny.ini" --policy proposed --resume "${CKPT}")

@@ -259,7 +259,7 @@ TEST_P(PlatformDigestTest, BigLittleUnderTheManager) {
   ThermalManager manager = freshManager();
   const RunResult result = PolicyRunner(config).run(scenario(), manager);
   ASSERT_EQ(result.completions.size(), 2u);
-  expectDigest(result, pinned(0xac539e66d20c0619ULL, 0x4b605ea3b750aa29ULL));
+  expectDigest(result, pinned(0x5d8623d75b58932bULL, 0x592b56c1fabf10d2ULL));
 }
 
 TEST_P(PlatformDigestTest, ThrottleEngagesAndReleases) {

@@ -139,6 +139,42 @@ TEST(FindingsJsonTest, MalformedInputSetsError) {
   EXPECT_FALSE(error.empty());
 }
 
+/// The diagnostic readFindingsJson gives for baseline `text`, read as "b.json".
+std::string baselineError(const std::string& text) {
+  std::istringstream read(text);
+  std::string error;
+  EXPECT_TRUE(lint::readFindingsJson(read, &error, "b.json").empty());
+  return error;
+}
+
+TEST(FindingsJsonTest, MalformedBaselinesGetPathLineDiagnostics) {
+  const auto baseline = [](const std::string& finding) {
+    return "{\"findings\":[\n" + finding + "\n]}\n";
+  };
+  EXPECT_EQ(baselineError(baseline(R"({"file":"\uzzzz","line":1,"rule":"r","message":"m"})")),
+            "b.json:2: invalid \\u escape (expected 4 hex digits)");
+  EXPECT_EQ(baselineError(baseline(R"({"file":"a" "line":1 "rule":"r" "message":"m"})")),
+            "b.json:2: expected ',' or '}' in an object");
+  EXPECT_EQ(baselineError(R"({"findings":[] "extra":7})"),
+            "b.json:1: expected ',' or '}' in the baseline");
+  EXPECT_EQ(
+      baselineError(baseline(R"({"file":"a","line":1,"rule":"r","message":"m","bogus":"x"})")),
+      "b.json:2: unknown key 'bogus' in a finding (valid: file, line, message, rule)");
+  EXPECT_EQ(baselineError("{\"findings\":[],\n\"extra\":7}"),
+            "b.json:2: unknown key 'extra' in the baseline (valid: findings)");
+  EXPECT_EQ(baselineError(baseline(R"({"file":"a","line":-3,"rule":"r","message":"m"})")),
+            "b.json:2: key 'line' must be a non-negative integer");
+  EXPECT_EQ(baselineError(baseline(R"({"file":"a","line":2.5,"rule":"r","message":"m"})")),
+            "b.json:2: key 'line' must be a non-negative integer");
+  EXPECT_EQ(baselineError(baseline(R"({"file":"a","line":"7","rule":"r","message":"m"})")),
+            "b.json:2: key 'line' must be a non-negative integer");
+  EXPECT_EQ(baselineError(baseline(R"({"file":"a","line":1,"message":"m"})")),
+            "b.json:2: finding is missing key 'rule'");
+  EXPECT_EQ(baselineError(baseline("[]")), "b.json:2: each finding must be an object");
+  EXPECT_EQ(baselineError("{}"), "b.json:1: the baseline needs a \"findings\" array");
+  EXPECT_EQ(baselineError("[]"), "b.json:1: the baseline must be an object");
+}
+
 TEST(BaselineDiffTest, MatchesByFileRuleMessageIgnoringLine) {
   const std::vector<lint::Finding> current = {
       {"src/a.cpp", 30, "global-rng", "m"},  // baselined at a different line

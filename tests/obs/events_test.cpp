@@ -7,7 +7,7 @@
 #include <limits>
 #include <sstream>
 
-#include "obs/json.hpp"
+#include "common/json.hpp"
 #include "obs/session.hpp"
 
 namespace rltherm::obs {

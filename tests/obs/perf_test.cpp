@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
 

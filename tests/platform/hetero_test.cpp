@@ -63,6 +63,19 @@ TEST(HeteroTest, GovernorDecisionsAlsoCapped) {
   EXPECT_LE(machine.coreFrequencies()[2], 2.0e9);
 }
 
+TEST(HeteroTest, DynamicGovernorsStartEveryCoreAtItsCeiling) {
+  for (const GovernorKind kind : {GovernorKind::Ondemand, GovernorKind::Conservative}) {
+    MachineConfig config = bigLittleMachine();
+    config.initialGovernor = {kind, 0.0};
+    const Machine machine(config);
+    const std::vector<Hertz> f = machine.coreFrequencies();
+    for (std::size_t c = 0; c < f.size(); ++c) {
+      const Hertz ceiling = machine.coreType(c).maxFrequency;
+      EXPECT_DOUBLE_EQ(f[c], ceiling > 0.0 ? ceiling : 3.4e9) << "core " << c;
+    }
+  }
+}
+
 TEST(HeteroTest, LittleCoreMakesLessProgress) {
   Machine machine(bigLittleMachine());
   machine.setGovernor({GovernorKind::Userspace, 2.0e9});  // both types can run this

@@ -3,7 +3,7 @@
 // WorkloadDriver::tick between application starts must not touch the heap,
 // in every driver mode: sequential, replicated at each degree, concurrent.
 // The sample path, the sensor read and the ground-truth read into caller
-// buffers, must not either.
+// buffers, must not either, and neither must an affinity change.
 //
 // The binary replaces the global allocation functions with counting ones,
 // which is why it is built on its own (ctest label `alloc`).
@@ -172,6 +172,24 @@ TEST_P(SteadyMachineTick, SampledTicksAllocateNothing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Plants, SteadyMachineTick, ::testing::Values(1u, 4u));
+
+TEST(TickAllocationTest, AffinityChangesOnExistingThreadsAllocateNothing) {
+  // The manager re-pins threads on every decision epoch: pinning to one core
+  // migrates, widening back to every core does not.
+  platform::Machine machine{platform::MachineConfig{}};
+  sched::Scheduler& scheduler = machine.scheduler();
+  const auto all = sched::AffinityMask::all(machine.coreCount());
+  for (ThreadId id = 1; id <= 6; ++id) scheduler.addThread(id, all);
+
+  const std::size_t counted = allocationsDuring([&] {
+    for (int i = 0; i < 1000; ++i) {
+      const ThreadId id = 1 + i % 6;
+      scheduler.setAffinity(id, (i / 6) % 2 == 0 ? sched::AffinityMask::single(0) : all);
+    }
+  });
+  EXPECT_EQ(counted, 0u);
+  EXPECT_GT(scheduler.totalMigrations(), 0u);
+}
 
 TEST(TickAllocationTest, DriverTicksBetweenAppSwitchesAllocateNothing) {
   platform::Machine machine{platform::MachineConfig{}};

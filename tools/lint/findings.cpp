@@ -1,197 +1,76 @@
 // Finding ordering, the two output formats, and the committed-baseline
-// machinery. The JSON dialect is deliberately tiny — flat objects with
-// string/number values — and both the writer and the reader live here, so
-// the round-trip is covered by one test (tests/lint/) and the tool needs no
-// external JSON dependency.
+// machinery. Findings are written and read with the project's JSON codec
+// (common/json.hpp); the baseline reader walks the parsed tree and rejects
+// anything writeFindingsJson would not have written, with a
+// "path:line: message" diagnostic.
 //
 // Baseline matching keys on (file, rule, message) and ignores line numbers:
 // editing an unrelated part of a file must not invalidate its baseline
 // entries. Matching consumes entries one-for-one, so N+1 occurrences of an
 // identical finding against N baselined ones still gate.
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
+#include <charconv>
+#include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 
+#include "common/error.hpp"
+#include "common/json.hpp"
+#include "common/strict_file.hpp"
 #include "lint.hpp"
 
 namespace rltherm::lint {
 
 namespace {
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+/// Fails on the first member of `object` that `valid` does not name.
+void allowKeys(const JsonValue& object, std::initializer_list<std::string_view> valid,
+               const std::string& where, const std::string& source) {
+  for (std::size_t i = 0; i < object.keys.size(); ++i) {
+    if (std::find(valid.begin(), valid.end(), object.keys[i]) == valid.end()) {
+      failParse(source, object.items[i].line,
+                "unknown key '" + object.keys[i] + "' in " + where);
     }
   }
-  return out;
 }
 
-/// Minimal recursive-descent reader for the writer's output shape. Not a
-/// general JSON parser: it accepts exactly one object containing a
-/// "findings" array of flat objects with string or unsigned-integer values.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  bool parse(std::vector<Finding>& out, std::string& error) {
-    skipWs();
-    if (!consume('{')) return fail(error, "expected '{'");
-    bool sawFindings = false;
-    while (true) {
-      skipWs();
-      if (consume('}')) break;
-      std::string key;
-      if (!parseString(key)) return fail(error, "expected object key");
-      skipWs();
-      if (!consume(':')) return fail(error, "expected ':'");
-      skipWs();
-      if (key == "findings") {
-        sawFindings = true;
-        if (!parseFindingsArray(out, error)) return false;
-      } else {
-        if (!skipValue()) return fail(error, "bad value for key '" + key + "'");
-      }
-      skipWs();
-      consume(',');
-    }
-    skipWs();
-    if (pos_ != text_.size()) return fail(error, "trailing characters");
-    if (!sawFindings) return fail(error, "no \"findings\" array");
-    return true;
+/// The finding member `key`, which must be present and of `kind`.
+const JsonValue& member(const JsonValue& object, const char* key, JsonValue::Kind kind,
+                        const char* type, const std::string& source) {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr) {
+    failParse(source, object.line, std::string("finding is missing key '") + key + "'");
   }
-
- private:
-  bool parseFindingsArray(std::vector<Finding>& out, std::string& error) {
-    if (!consume('[')) return fail(error, "expected '['");
-    while (true) {
-      skipWs();
-      if (consume(']')) return true;
-      Finding f;
-      if (!parseFinding(f, error)) return false;
-      out.push_back(std::move(f));
-      skipWs();
-      consume(',');
-    }
+  if (value->kind != kind) {
+    failParse(source, value->line, std::string("key '") + key + "' must be " + type);
   }
+  return *value;
+}
 
-  bool parseFinding(Finding& f, std::string& error) {
-    if (!consume('{')) return fail(error, "expected finding object");
-    while (true) {
-      skipWs();
-      if (consume('}')) return true;
-      std::string key;
-      if (!parseString(key)) return fail(error, "expected finding key");
-      skipWs();
-      if (!consume(':')) return fail(error, "expected ':'");
-      skipWs();
-      if (key == "line") {
-        std::size_t value = 0;
-        if (!parseNumber(value)) return fail(error, "bad line number");
-        f.line = value;
-      } else {
-        std::string value;
-        if (!parseString(value)) return fail(error, "bad value for '" + key + "'");
-        if (key == "file") f.file = std::move(value);
-        else if (key == "rule") f.rule = std::move(value);
-        else if (key == "message") f.message = std::move(value);
-      }
-      skipWs();
-      consume(',');
-    }
+Finding readFinding(const JsonValue& object, const std::string& source) {
+  if (object.kind != JsonValue::Kind::Object) {
+    failParse(source, object.line, "each finding must be an object");
   }
-
-  bool parseString(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\' && pos_ < text_.size()) {
-        const char e = text_[pos_++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            const std::string hex = text_.substr(pos_, 4);
-            pos_ += 4;
-            out += static_cast<char>(std::stoi(hex, nullptr, 16));
-            break;
-          }
-          default: out += e;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;
+  allowKeys(object, {"file", "line", "rule", "message"},
+            "a finding (valid: file, line, message, rule)", source);
+  Finding f;
+  f.file = member(object, "file", JsonValue::Kind::String, "a string", source).text;
+  f.rule = member(object, "rule", JsonValue::Kind::String, "a string", source).text;
+  f.message = member(object, "message", JsonValue::Kind::String, "a string", source).text;
+  const JsonValue& line =
+      member(object, "line", JsonValue::Kind::Number, "a non-negative integer", source);
+  const char* end = line.text.data() + line.text.size();
+  const auto [ptr, ec] = std::from_chars(line.text.data(), end, f.line);
+  if (ec != std::errc() || ptr != end) {
+    failParse(source, line.line, "key 'line' must be a non-negative integer");
   }
-
-  bool parseNumber(std::size_t& out) {
-    std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out = static_cast<std::size_t>(std::stoull(text_.substr(start, pos_ - start)));
-    return true;
-  }
-
-  bool skipValue() {
-    if (pos_ >= text_.size()) return false;
-    if (text_[pos_] == '"') {
-      std::string ignored;
-      return parseString(ignored);
-    }
-    std::size_t ignored = 0;
-    return parseNumber(ignored);
-  }
-
-  void skipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  static bool fail(std::string& error, std::string message) {
-    error = std::move(message);
-    return false;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  return f;
+}
 
 }  // namespace
 
@@ -214,21 +93,36 @@ void writeFindingsJson(const std::vector<Finding>& findings, std::ostream& out) 
   for (const Finding& f : findings) {
     if (!first) out << ",";
     first = false;
-    out << "\n  {\"file\":\"" << jsonEscape(f.file) << "\",\"line\":" << f.line
-        << ",\"rule\":\"" << jsonEscape(f.rule) << "\",\"message\":\""
-        << jsonEscape(f.message) << "\"}";
+    out << "\n  ";
+    JsonWriter json(out);
+    json.beginObject();
+    json.key("file").value(f.file);
+    json.key("line").value(static_cast<std::uint64_t>(f.line));
+    json.key("rule").value(f.rule);
+    json.key("message").value(f.message);
+    json.endObject();
   }
   out << (findings.empty() ? "]}\n" : "\n]}\n");
 }
 
-std::vector<Finding> readFindingsJson(std::istream& in, std::string* error) {
+std::vector<Finding> readFindingsJson(std::istream& in, std::string* error,
+                                      const std::string& source) {
   std::ostringstream ss;
   ss << in.rdbuf();
-  const std::string text = ss.str();
   std::vector<Finding> out;
-  std::string err;
-  if (!JsonReader(text).parse(out, err)) {
-    if (error != nullptr) *error = err;
+  try {
+    const JsonValue root = parseJson(ss.str(), source, 1, "the baseline");
+    if (root.kind != JsonValue::Kind::Object) {
+      failParse(source, root.line, "the baseline must be an object");
+    }
+    allowKeys(root, {"findings"}, "the baseline (valid: findings)", source);
+    const JsonValue* findings = root.find("findings");
+    if (findings == nullptr || findings->kind != JsonValue::Kind::Array) {
+      failParse(source, root.line, "the baseline needs a \"findings\" array");
+    }
+    for (const JsonValue& item : findings->items) out.push_back(readFinding(item, source));
+  } catch (const PreconditionError& e) {
+    if (error != nullptr) *error = e.what();
     return {};
   }
   if (error != nullptr) error->clear();

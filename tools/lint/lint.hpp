@@ -53,8 +53,10 @@ void writeFindingsText(const std::vector<Finding>& findings, std::ostream& out);
 void writeFindingsJson(const std::vector<Finding>& findings, std::ostream& out);
 
 /// Parses the JSON emitted by writeFindingsJson (the baseline file format).
-/// On malformed input returns an empty vector and sets *error.
-std::vector<Finding> readFindingsJson(std::istream& in, std::string* error);
+/// On malformed input returns an empty vector and sets *error to a
+/// "source:line: message" diagnostic.
+std::vector<Finding> readFindingsJson(std::istream& in, std::string* error,
+                                      const std::string& source = "baseline");
 
 /// Findings in `current` with no baseline entry of the same (file, rule,
 /// message) — line numbers are deliberately ignored so unrelated edits do

@@ -76,6 +76,7 @@
 
 #include "common/config.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/baselines.hpp"
 #include "core/config_io.hpp"
@@ -881,29 +882,6 @@ std::string hexU64(std::uint64_t v) {
   return out.str();
 }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// `train`: train the proposed ThermalManager on --train back-to-back passes
 /// of --app and write the checkpoint via the runner's save-at-end hook (the
 /// same code path RunnerConfig::saveCheckpointAtEnd exercises everywhere).
@@ -1017,36 +995,39 @@ int inspectCommand(const Options& options) {
   const std::uint64_t states = ckpt.meta.stressBins * ckpt.meta.agingBins;
 
   if (options.has("json")) {
-    std::ostringstream out;
-    out << "{\"file\":\"" << jsonEscape(path) << "\""
-        << ",\"format_version\":" << image.version
-        << ",\"fingerprint\":\"" << hexU64(image.fingerprint) << "\""
-        << ",\"action_space\":\"" << jsonEscape(ckpt.meta.actionSpec) << "\""
-        << ",\"actions\":" << ckpt.meta.actionNames.size()
-        << ",\"stress_bins\":" << ckpt.meta.stressBins
-        << ",\"aging_bins\":" << ckpt.meta.agingBins
-        << ",\"states\":" << states
-        << ",\"q_entries\":" << ckpt.qValues.size()
-        << ",\"q_touched\":" << touched
-        << ",\"q_coverage\":" << formatFixed(coverage, 4)
-        << ",\"schedule_step\":" << ckpt.scheduleStep
-        << ",\"epochs\":" << ckpt.epochLog.size()
-        << ",\"frozen\":" << (ckpt.frozen ? "true" : "false")
-        << ",\"has_qexp\":" << (ckpt.hasQExp ? "true" : "false")
-        << ",\"inter_detections\":" << ckpt.interDetections
-        << ",\"intra_detections\":" << ckpt.intraDetections
-        << ",\"seed\":" << ckpt.meta.seed
-        << ",\"sections\":[";
-    for (std::size_t i = 0; i < sections.size(); ++i) {
-      if (i > 0) out << ",";
-      out << "{\"id\":" << sections[i].id
-          << ",\"name\":\"" << store::sectionName(sections[i].id) << "\""
-          << ",\"offset\":" << sections[i].offset
-          << ",\"payload_bytes\":" << sections[i].payloadBytes
-          << ",\"crc32\":\"" << hexU64(sections[i].crc) << "\"}";
+    JsonWriter json(std::cout);
+    json.beginObject();
+    json.key("file").value(path);
+    json.key("format_version").value(static_cast<std::uint64_t>(image.version));
+    json.key("fingerprint").value(hexU64(image.fingerprint));
+    json.key("action_space").value(ckpt.meta.actionSpec);
+    json.key("actions").value(static_cast<std::uint64_t>(ckpt.meta.actionNames.size()));
+    json.key("stress_bins").value(ckpt.meta.stressBins);
+    json.key("aging_bins").value(ckpt.meta.agingBins);
+    json.key("states").value(states);
+    json.key("q_entries").value(static_cast<std::uint64_t>(ckpt.qValues.size()));
+    json.key("q_touched").value(static_cast<std::uint64_t>(touched));
+    json.key("q_coverage").value(coverage);
+    json.key("schedule_step").value(ckpt.scheduleStep);
+    json.key("epochs").value(static_cast<std::uint64_t>(ckpt.epochLog.size()));
+    json.key("frozen").value(ckpt.frozen);
+    json.key("has_qexp").value(ckpt.hasQExp);
+    json.key("inter_detections").value(ckpt.interDetections);
+    json.key("intra_detections").value(ckpt.intraDetections);
+    json.key("seed").value(ckpt.meta.seed);
+    json.key("sections").beginArray();
+    for (const store::SectionInfo& section : sections) {
+      json.beginObject();
+      json.key("id").value(static_cast<std::uint64_t>(section.id));
+      json.key("name").value(store::sectionName(section.id));
+      json.key("offset").value(section.offset);
+      json.key("payload_bytes").value(section.payloadBytes);
+      json.key("crc32").value(hexU64(section.crc));
+      json.endObject();
     }
-    out << "]}";
-    std::cout << out.str() << "\n";
+    json.endArray();
+    json.endObject();
+    std::cout << "\n";
     return 0;
   }
 

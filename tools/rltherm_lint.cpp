@@ -128,10 +128,9 @@ int main(int argc, char** argv) {
     std::ifstream in(baselinePath, std::ios::binary);
     if (!in) return usageError("cannot read baseline " + baselinePath);
     std::string error;
-    const std::vector<lint::Finding> baseline = lint::readFindingsJson(in, &error);
-    if (!error.empty()) {
-      return usageError("malformed baseline " + baselinePath + ": " + error);
-    }
+    const std::vector<lint::Finding> baseline =
+        lint::readFindingsJson(in, &error, baselinePath);
+    if (!error.empty()) return usageError("malformed baseline " + error);
     gated = lint::diffAgainstBaseline(findings, baseline, &stale);
     baselined = findings.size() - gated.size();
   }
